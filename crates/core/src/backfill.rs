@@ -13,11 +13,11 @@
 //! per-batch transactional insert-if-current guards against racing deletes.
 
 use crate::database::FirestoreDatabase;
-use crate::document::Document;
 use crate::error::{FirestoreError, FirestoreResult};
 use crate::executor::{ENTITIES, INDEX_ENTRIES};
 use crate::index::{entries_for_document, index_prefix, IndexId, IndexState};
 use crate::path::DocumentName;
+use crate::write;
 use bytes::Bytes;
 use simkit::Timestamp;
 use spanner::{Key, KeyRange};
@@ -74,18 +74,16 @@ impl BackfillCursor {
         }
         let mut txn = spanner.begin();
         let mut indexed = 0;
-        for (key, _bytes) in &rows {
+        for (key, _, _) in &rows {
+            let Some(name) = DocumentName::decode(&key.as_slice()[4..]) else {
+                return Err(FirestoreError::Internal("corrupt entity key".into()));
+            };
             // Re-read under lock so a concurrent update/delete between the
             // snapshot scan and this transaction cannot resurrect stale
             // entries.
-            let current = spanner.txn_read(&mut txn, ENTITIES, key)?;
-            let Some(current) = current else { continue };
-            let name_bytes = &key.as_slice()[4..];
-            let Some(name) = DocumentName::decode(name_bytes) else {
-                return Err(FirestoreError::Internal("corrupt entity key".into()));
-            };
-            let Some(doc) = Document::decode(name.clone(), &current) else {
-                return Err(FirestoreError::Internal(format!("corrupt document {name}")));
+            let current = spanner.txn_read_versioned(&mut txn, ENTITIES, key)?;
+            let Some(doc) = write::decode_row(&name, current)? else {
+                continue;
             };
             let keys = db.with_catalog(|c| {
                 // Compute only this index's entries.
@@ -143,7 +141,7 @@ pub fn run_backremoval(
             break;
         }
         let mut txn = spanner.begin();
-        for (key, _) in &rows {
+        for (key, _, _) in &rows {
             spanner.txn_delete(&mut txn, INDEX_ENTRIES, key.clone())?;
         }
         spanner.commit(txn, Timestamp::ZERO, Timestamp::MAX)?;

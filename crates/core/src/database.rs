@@ -12,7 +12,7 @@ use crate::gate::{GatedOp, RequestClass, TenantGate};
 use crate::index::{IndexCatalog, IndexId, IndexState, IndexedField};
 use crate::observer::{CommitObserver, CommitOutcome, DocumentChange, NullObserver};
 use crate::path::{CollectionPath, DocumentName};
-use crate::planner::plan_query;
+use crate::planner::{plan_query, Plan};
 use crate::query::Query;
 use crate::retry::{Backoff, Deadline, RetryPolicy};
 use crate::triggers::TriggerRegistry;
@@ -26,7 +26,6 @@ use spanner::database::DirectoryId;
 use spanner::messaging::MessageQueue;
 use spanner::{ReadWriteTransaction, SpannerDatabase};
 use simkit::history::{HistoryEvent, HistoryRecorder};
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -46,6 +45,23 @@ pub enum Consistency {
     Strong,
     /// Read at an explicit (possibly slightly stale) timestamp.
     AtTimestamp(Timestamp),
+}
+
+/// How a query entry point consumes the plan's matches.
+#[derive(Clone, Copy)]
+enum QueryMode {
+    /// Fetch the matching documents, at most this many (§IV-C).
+    Fetch(usize),
+    /// COUNT (§VIII): stream the matches without fetching documents.
+    Count,
+}
+
+/// What [`FirestoreDatabase::serve_query`] hands back to an entry point.
+struct ServedQuery {
+    plan: Plan,
+    result: QueryResult,
+    /// Matches inside the window: the documents fetched, or the COUNT.
+    matched: usize,
 }
 
 /// Options for creating a database.
@@ -314,27 +330,33 @@ impl FirestoreDatabase {
             .inner
             .spanner
             .snapshot_read_versioned(ENTITIES, &key, ts)?;
-        let doc = match row {
-            None => None,
-            Some((bytes, version_ts)) => Some(
-                write::decode_from_storage(name.clone(), &bytes, version_ts)
-                    .ok_or_else(|| FirestoreError::Internal(format!("corrupt document {name}")))?,
-            ),
-        };
+        let doc = write::decode_row(name, row)?;
         if caller.is_third_party() {
             self.authorize_read(name, doc.as_ref(), Method::Get, caller, ts)?;
         }
         if let Some(h) = self.history() {
-            h.record(HistoryEvent::DocRead {
-                dir: self.inner.dir.prefix(),
-                ts,
-                name: name.to_string(),
-                digest: doc.as_ref().map(crate::checker::doc_digest),
-            });
+            h.record(self.doc_read_event(ts, name, doc.as_ref()));
         }
         Ok(doc)
     }
 
+    /// The consistency-oracle event for one served document read.
+    fn doc_read_event(
+        &self,
+        ts: Timestamp,
+        name: &DocumentName,
+        doc: Option<&Document>,
+    ) -> HistoryEvent {
+        HistoryEvent::DocRead {
+            dir: self.inner.dir.prefix(),
+            ts,
+            name: name.to_string(),
+            digest: doc.map(crate::checker::doc_digest),
+        }
+    }
+
+    /// Authorize a third-party read of one document (`Get`, or `List` for
+    /// a query result) at `ts`.
     fn authorize_read(
         &self,
         name: &DocumentName,
@@ -343,12 +365,6 @@ impl FirestoreDatabase {
         caller: &Caller,
         ts: Timestamp,
     ) -> FirestoreResult<()> {
-        let engine = self.inner.ruleset.read();
-        let Some(engine) = engine.as_ref() else {
-            return Err(FirestoreError::PermissionDenied(
-                "no security rules installed; third-party access denied".into(),
-            ));
-        };
         let doc_path: Vec<&str> = name.segments().iter().map(String::as_str).collect();
         let req = RequestContext::for_document(
             method,
@@ -357,18 +373,32 @@ impl FirestoreDatabase {
             doc.map(|d| write::fields_to_rule(&d.fields)),
             None,
         );
-        let source = write::SnapshotDataSource {
-            spanner: &self.inner.spanner,
-            dir: self.inner.dir,
-            ts,
+        self.authorize(&req, name, ReadAccess::Snapshot(ts))
+    }
+
+    /// Check one third-party request against the installed rules, resolving
+    /// `get()`/`exists()` lookups through `access`. A lookup that met a
+    /// storage error refuses the request with that (retriable) error rather
+    /// than with a denial.
+    fn authorize(
+        &self,
+        req: &RequestContext,
+        name: &DocumentName,
+        access: ReadAccess<'_>,
+    ) -> FirestoreResult<()> {
+        let engine = self.inner.ruleset.read();
+        let Some(engine) = engine.as_ref() else {
+            return Err(FirestoreError::PermissionDenied(
+                "no security rules installed; third-party access denied".into(),
+            ));
         };
-        if engine.allows(&req, &source, self.obs().as_ref()) {
-            Ok(())
-        } else {
-            Err(FirestoreError::PermissionDenied(format!(
-                "{method:?} {name} denied by rules"
-            )))
+        let source = write::RulesDataSource::new(&self.inner.spanner, self.inner.dir, access);
+        if engine.allows(req, &source, self.obs().as_ref()) {
+            return Ok(());
         }
+        Err(source.into_failure().unwrap_or_else(|| {
+            FirestoreError::PermissionDenied(format!("{:?} {name} denied by rules", req.method))
+        }))
     }
 
     /// Run a query outside any transaction (lock-free timestamp read).
@@ -378,8 +408,72 @@ impl FirestoreDatabase {
         consistency: Consistency,
         caller: &Caller,
     ) -> FirestoreResult<QueryResult> {
+        let served = self.serve_query(
+            query,
+            consistency,
+            caller,
+            "query",
+            QueryMode::Fetch(usize::MAX),
+        )?;
+        Ok(served.result)
+    }
+
+    /// Run a query with a per-RPC work limit, returning partial results and
+    /// a resume point when truncated (§IV-C). Continue with
+    /// `query.clone().start_after(resume_after)`.
+    pub fn run_query_partial(
+        &self,
+        query: &Query,
+        consistency: Consistency,
+        caller: &Caller,
+        work_limit: usize,
+    ) -> FirestoreResult<QueryResult> {
+        let served = self.serve_query(
+            query,
+            consistency,
+            caller,
+            "partial",
+            QueryMode::Fetch(work_limit),
+        )?;
+        Ok(served.result)
+    }
+
+    /// A COUNT aggregation (paper §VIII): the number of documents the query
+    /// matches inside its window, computed from index entries without
+    /// fetching documents. The returned stats reflect the entries examined
+    /// — the cost such a query must be billed by ("a COUNT query returns a
+    /// single value but may count millions of documents").
+    pub fn run_count(
+        &self,
+        query: &Query,
+        consistency: Consistency,
+        caller: &Caller,
+    ) -> FirestoreResult<(usize, crate::executor::QueryStats)> {
+        let served = self.serve_query(query, consistency, caller, "count", QueryMode::Count)?;
+        Ok((served.matched, served.result.stats))
+    }
+
+    /// The one pipeline behind every non-transactional query entry point:
+    /// gate → plan → execute → observe → authorize → record. A COUNT's
+    /// list-permission probe runs before planning, since refusing it must
+    /// cost no reads. `kind` labels the query metrics.
+    fn serve_query(
+        &self,
+        query: &Query,
+        consistency: Consistency,
+        caller: &Caller,
+        kind: &'static str,
+        mode: QueryMode,
+    ) -> FirestoreResult<ServedQuery> {
         self.check_gate(GatedOp::Query)?;
         let ts = self.read_ts(consistency);
+        if caller.is_third_party() && matches!(mode, QueryMode::Count) {
+            // Counting reveals result-set size: require list permission on
+            // the collection via a representative (empty-resource) check,
+            // before any index entry is read.
+            let probe = query.collection.doc("__count__");
+            self.authorize_read(&probe, None, Method::List, caller, ts)?;
+        }
         let obs = self.obs();
         let plan = {
             let span = obs.as_ref().map(|o| o.tracer.span("query.plan"));
@@ -390,25 +484,38 @@ impl FirestoreDatabase {
             }
             plan
         };
-        let result = {
+        let (result, matched) = {
             let span = obs.as_ref().map(|o| o.tracer.span("query.execute"));
-            let result = executor::execute(
-                &self.inner.spanner,
-                self.inner.dir,
-                &plan,
-                query,
-                ReadAccess::Snapshot(ts),
-            )?;
+            let (spanner, dir) = (&self.inner.spanner, self.inner.dir);
+            let (result, matched) = match mode {
+                QueryMode::Fetch(work_limit) => {
+                    let access = ReadAccess::Snapshot(ts);
+                    let result =
+                        executor::execute_limited(spanner, dir, &plan, query, access, work_limit)?;
+                    let matched = result.documents.len();
+                    (result, matched)
+                }
+                QueryMode::Count => {
+                    let (matched, stats) = executor::count(spanner, dir, &plan, query, ts)?;
+                    let result = QueryResult {
+                        documents: Vec::new(),
+                        stats,
+                        resume_after: None,
+                    };
+                    (result, matched)
+                }
+            };
             if let Some(s) = &span {
                 s.attr("entries_examined", result.stats.entries_examined);
                 s.attr("entries_returned", result.stats.entries_returned);
                 s.attr("seeks", result.stats.seeks);
                 s.attr("docs_fetched", result.stats.docs_fetched);
+                s.attr("truncated", result.resume_after.is_some());
             }
-            result
+            (result, matched)
         };
         if let Some(o) = &obs {
-            self.observe_query_stats(o, "query", &result.stats);
+            self.observe_query_stats(o, kind, &result.stats);
         }
         if caller.is_third_party() {
             // Authorize each returned document as a `list` access. (The
@@ -424,96 +531,15 @@ impl FirestoreDatabase {
         if query.projection.is_none() {
             if let Some(h) = self.history() {
                 for doc in &result.documents {
-                    h.record(HistoryEvent::DocRead {
-                        dir: self.inner.dir.prefix(),
-                        ts,
-                        name: doc.name.to_string(),
-                        digest: Some(crate::checker::doc_digest(doc)),
-                    });
+                    h.record(self.doc_read_event(ts, &doc.name, Some(doc)));
                 }
             }
         }
-        Ok(result)
-    }
-
-    /// Run a query with a per-RPC work limit, returning partial results and
-    /// a resume point when truncated (§IV-C). Continue with
-    /// `query.clone().start_after(resume_after)`.
-    pub fn run_query_partial(
-        &self,
-        query: &Query,
-        consistency: Consistency,
-        caller: &Caller,
-        work_limit: usize,
-    ) -> FirestoreResult<QueryResult> {
-        self.check_gate(GatedOp::Query)?;
-        let ts = self.read_ts(consistency);
-        let obs = self.obs();
-        let plan = {
-            let span = obs.as_ref().map(|o| o.tracer.span("query.plan"));
-            let plan = plan_query(&mut self.inner.catalog.write(), self.inner.dir, query)?;
-            if let Some(s) = &span {
-                s.attr("collection", &query.collection);
-                s.attr("joined_indexes", plan.joined_indexes());
-            }
-            plan
-        };
-        let result = {
-            let span = obs.as_ref().map(|o| o.tracer.span("query.execute"));
-            let result = executor::execute_limited(
-                &self.inner.spanner,
-                self.inner.dir,
-                &plan,
-                query,
-                ReadAccess::Snapshot(ts),
-                work_limit,
-            )?;
-            if let Some(s) = &span {
-                s.attr("entries_examined", result.stats.entries_examined);
-                s.attr("truncated", result.resume_after.is_some());
-            }
-            result
-        };
-        if let Some(o) = &obs {
-            self.observe_query_stats(o, "partial", &result.stats);
-        }
-        if caller.is_third_party() {
-            for doc in &result.documents {
-                self.authorize_read(&doc.name, Some(doc), Method::List, caller, ts)?;
-            }
-        }
-        Ok(result)
-    }
-
-    /// A COUNT aggregation (paper §VIII): the number of documents the query
-    /// matches, computed from index entries without fetching documents. The
-    /// returned stats reflect the entries examined — the cost such a query
-    /// must be billed by ("a COUNT query returns a single value but may
-    /// count millions of documents").
-    pub fn run_count(
-        &self,
-        query: &Query,
-        consistency: Consistency,
-        caller: &Caller,
-    ) -> FirestoreResult<(usize, crate::executor::QueryStats)> {
-        if caller.is_third_party() {
-            // Counting reveals result-set size: require list permission on
-            // the collection via a representative (empty-resource) check.
-            let ts = self.read_ts(consistency);
-            let probe = query.collection.doc("__count__");
-            self.authorize_read(&probe, None, Method::List, caller, ts)?;
-        }
-        // Counting must ignore limit/offset windows per Firestore COUNT
-        // semantics with no window... production COUNT respects the window;
-        // we count the windowed result set to match it.
-        let ts = self.read_ts(consistency);
-        let obs = self.obs();
-        let plan = plan_query(&mut self.inner.catalog.write(), self.inner.dir, query)?;
-        let counted = executor::count(&self.inner.spanner, self.inner.dir, &plan, query, ts)?;
-        if let Some(o) = &obs {
-            self.observe_query_stats(o, "count", &counted.1);
-        }
-        Ok(counted)
+        Ok(ServedQuery {
+            plan,
+            result,
+            matched,
+        })
     }
 
     // --- EXPLAIN ------------------------------------------------------------
@@ -536,23 +562,17 @@ impl FirestoreDatabase {
         consistency: Consistency,
         caller: &Caller,
     ) -> FirestoreResult<(String, QueryResult)> {
-        let ts = self.read_ts(consistency);
-        let plan = plan_query(&mut self.inner.catalog.write(), self.inner.dir, query)?;
-        let result = executor::execute(
-            &self.inner.spanner,
-            self.inner.dir,
-            &plan,
+        let served = self.serve_query(
             query,
-            ReadAccess::Snapshot(ts),
+            consistency,
+            caller,
+            "analyze",
+            QueryMode::Fetch(usize::MAX),
         )?;
-        if caller.is_third_party() {
-            for doc in &result.documents {
-                self.authorize_read(&doc.name, Some(doc), Method::List, caller, ts)?;
-            }
-        }
         let catalog = self.inner.catalog.read();
-        let text = crate::explain::render_analyze(&catalog, query, &plan, &result.stats);
-        Ok((text, result))
+        let text =
+            crate::explain::render_analyze(&catalog, query, &served.plan, &served.result.stats);
+        Ok((text, served.result))
     }
 
     // --- writes -------------------------------------------------------------
@@ -679,16 +699,10 @@ impl FirestoreDatabase {
         // preconditions.
         let mut olds: Vec<Option<Document>> = Vec::with_capacity(writes.len());
         for w in &writes {
-            let name = w.op.name().clone();
+            let name = w.op.name();
             let key = dir.key(&name.encode());
-            let old = match spanner.txn_read_for_update_versioned(txn, ENTITIES, &key)? {
-                None => None,
-                Some((bytes, version_ts)) => Some(
-                    write::decode_from_storage(name.clone(), &bytes, version_ts).ok_or_else(
-                        || FirestoreError::Internal(format!("corrupt document {name}")),
-                    )?,
-                ),
-            };
+            let row = spanner.txn_read_for_update_versioned(txn, ENTITIES, &key)?;
+            let old = write::decode_row(name, row)?;
             write::check_precondition(w, old.as_ref())?;
             olds.push(old);
         }
@@ -696,29 +710,9 @@ impl FirestoreDatabase {
         // Step 3: security rules for third-party requests, resolved inside
         // this transaction.
         if caller.is_third_party() {
-            let engine = self.inner.ruleset.read();
-            let Some(engine) = engine.as_ref() else {
-                return Err(FirestoreError::PermissionDenied(
-                    "no security rules installed; third-party access denied".into(),
-                ));
-            };
             for (w, old) in writes.iter().zip(&olds) {
                 let req = write::write_request_context(w, old.as_ref(), caller.auth());
-                let allowed = {
-                    let source = write::TxnDataSource {
-                        spanner,
-                        dir,
-                        txn: RefCell::new(&mut *txn),
-                    };
-                    engine.allows(&req, &source, obs.as_ref())
-                };
-                if !allowed {
-                    return Err(FirestoreError::PermissionDenied(format!(
-                        "{:?} {} denied by rules",
-                        write::write_method(w, old.as_ref()),
-                        w.op.name()
-                    )));
-                }
+                self.authorize(&req, w.op.name(), ReadAccess::Transaction(&mut *txn))?;
             }
         }
 
@@ -898,14 +892,12 @@ impl FirestoreDatabase {
     /// this database's directory.
     pub fn storage_stats(&self) -> FirestoreResult<(usize, usize)> {
         let ts = self.strong_read_ts();
-        let range = self.inner.dir.range();
-        let docs = self.inner.spanner.snapshot_count(ENTITIES, &range, ts)?;
-        let rows = self
-            .inner
-            .spanner
-            .snapshot_scan(ENTITIES, &range, ts, usize::MAX)?;
-        let bytes = rows.iter().map(|(k, v)| k.len() + v.len()).sum();
-        Ok((docs, bytes))
+        let rows =
+            self.inner
+                .spanner
+                .snapshot_scan(ENTITIES, &self.inner.dir.range(), ts, usize::MAX)?;
+        let bytes = rows.iter().map(|(k, v, _)| k.len() + v.len()).sum();
+        Ok((rows.len(), bytes))
     }
 
     /// Garbage-collect `WriteLedger` rows whose commit is older than
@@ -920,8 +912,7 @@ impl FirestoreDatabase {
         let spanner = &self.inner.spanner;
         let ts = self.strong_read_ts();
         let range = self.inner.dir.range();
-        let rows =
-            spanner.snapshot_scan_versioned(WRITE_LEDGER, &range, ts, usize::MAX, false)?;
+        let rows = spanner.snapshot_scan(WRITE_LEDGER, &range, ts, usize::MAX)?;
         let mut txn = spanner.begin();
         let mut dropped = 0usize;
         for (key, _, version_ts) in rows {
@@ -964,19 +955,12 @@ impl FirestoreTransaction {
     /// Firestore transactions are reads-for-update).
     pub fn get(&mut self, name: &DocumentName) -> FirestoreResult<Option<Document>> {
         let key = self.db.inner.dir.key(&name.encode());
-        match self
+        let row = self
             .db
             .inner
             .spanner
-            .txn_read_for_update_versioned(&mut self.txn, ENTITIES, &key)?
-        {
-            None => Ok(None),
-            Some((bytes, version_ts)) => {
-                write::decode_from_storage(name.clone(), &bytes, version_ts)
-                    .map(Some)
-                    .ok_or_else(|| FirestoreError::Internal(format!("corrupt document {name}")))
-            }
-        }
+            .txn_read_for_update_versioned(&mut self.txn, ENTITIES, &key)?;
+        write::decode_row(name, row)
     }
 
     /// Run a query inside the transaction (reads acquire shared locks;
@@ -984,12 +968,13 @@ impl FirestoreTransaction {
     /// deadlocks that are resolved by failing and retrying", §IV-D3).
     pub fn query(&mut self, query: &Query) -> FirestoreResult<QueryResult> {
         let plan = plan_query(&mut self.db.inner.catalog.write(), self.db.inner.dir, query)?;
-        executor::execute(
+        executor::execute_limited(
             &self.db.inner.spanner,
             self.db.inner.dir,
             &plan,
             query,
             ReadAccess::Transaction(&mut self.txn),
+            usize::MAX,
         )
     }
 
@@ -1028,7 +1013,10 @@ impl FirestoreTransaction {
             write::validate_write(w)?;
         }
         let writes = std::mem::take(&mut self.writes);
-        let result = self.db.clone().commit_pipeline_for(&mut self.txn, writes);
+        // Interactive transactions come from Server SDKs: privileged.
+        let result = self
+            .db
+            .commit_pipeline(&mut self.txn, writes, &Caller::Service, None);
         if result.is_err() {
             self.db.inner.spanner.abort(&mut self.txn);
         }
@@ -1038,17 +1026,6 @@ impl FirestoreTransaction {
     /// Abort the transaction, releasing locks.
     pub fn abort(mut self) {
         self.db.inner.spanner.abort(&mut self.txn);
-    }
-}
-
-impl FirestoreDatabase {
-    fn commit_pipeline_for(
-        &self,
-        txn: &mut ReadWriteTransaction,
-        writes: Vec<Write>,
-    ) -> FirestoreResult<WriteResult> {
-        // Interactive transactions come from Server SDKs: privileged.
-        self.commit_pipeline(txn, writes, &Caller::Service, None)
     }
 }
 
@@ -1609,6 +1586,56 @@ mod tests {
             )
             .unwrap();
         assert!(r.commit_ts <= dl.ts(), "commit timestamp respects deadline");
+    }
+
+    /// A tenant gate that refuses everything, as for a suspended tenant.
+    struct Suspended;
+
+    impl TenantGate for Suspended {
+        fn check(&self, _op: GatedOp, _class: RequestClass) -> FirestoreResult<()> {
+            Err(FirestoreError::FailedPrecondition("tenant suspended".into()))
+        }
+    }
+
+    #[test]
+    fn tenant_gate_refuses_count_and_explain_analyze() {
+        let db = setup();
+        put(&db, "/c/d", vec![("v", Value::Int(1))]);
+        db.set_gate(Some(Arc::new(Suspended)));
+        let q = Query::parse("/c").unwrap();
+        assert!(matches!(
+            db.run_count(&q, Consistency::Strong, &Caller::Service),
+            Err(FirestoreError::FailedPrecondition(_))
+        ));
+        assert!(matches!(
+            db.explain_analyze(&q, Consistency::Strong, &Caller::Service),
+            Err(FirestoreError::FailedPrecondition(_))
+        ));
+    }
+
+    #[test]
+    fn partial_query_reads_reach_the_history() {
+        let db = setup();
+        for i in 0..5 {
+            put(&db, &format!("/c/d{i}"), vec![("v", Value::Int(i))]);
+        }
+        let rec = HistoryRecorder::new();
+        db.spanner().set_history(Some(rec.clone()));
+        let q = Query::parse("/c").unwrap();
+        let result = db
+            .run_query_partial(&q, Consistency::Strong, &Caller::Service, 3)
+            .unwrap();
+        assert_eq!(result.documents.len(), 3);
+        let doc_reads: Vec<String> = rec
+            .events()
+            .into_iter()
+            .filter_map(|r| match r.event {
+                HistoryEvent::DocRead { name, .. } => Some(name),
+                _ => None,
+            })
+            .collect();
+        let served: Vec<String> = result.documents.iter().map(|d| d.name.to_string()).collect();
+        assert_eq!(doc_reads, served);
     }
 
     #[test]

@@ -104,16 +104,10 @@ impl ScanBackend for Backend<'_, '_> {
         range: &KeyRange,
         limit: usize,
         reverse: bool,
-    ) -> SpannerResult<Vec<(Key, Bytes)>> {
+    ) -> SpannerResult<Vec<(Key, Bytes, Timestamp)>> {
         match self {
             Backend::Snapshot(s) => s.scan(table, range, limit, reverse),
-            Backend::Transaction { db, txn } => {
-                if reverse {
-                    db.txn_scan_rev(txn, table, range, limit)
-                } else {
-                    db.txn_scan(txn, table, range, limit)
-                }
-            }
+            Backend::Transaction { db, txn } => db.txn_scan(txn, table, range, limit, reverse),
         }
     }
 }
@@ -173,14 +167,10 @@ fn scan_cmp(a: &[u8], b: &[u8], reverse: bool) -> Ordering {
     }
 }
 
-/// One streamed posting: the encoded document name carried in the entry's
-/// row value (suffix comparison happens before a posting is emitted, so
-/// only the name survives the merge).
-struct Posting {
-    name_bytes: Bytes,
-}
-
-/// A lazy posting stream over one equality prefix of one index.
+/// A lazy posting stream over one equality prefix of one index. A posting
+/// is the encoded document name carried in the entry's row value (suffix
+/// comparison happens before a posting is emitted, so only the name
+/// survives the merge).
 struct PostingCursor {
     cursor: RangeCursor,
     prefix: Vec<u8>,
@@ -198,14 +188,11 @@ impl PostingCursor {
         Ok(self
             .cursor
             .peek(backend)?
-            .map(|(k, _)| k.as_slice()[self.prefix.len()..].to_vec()))
+            .map(|(k, _, _)| k.as_slice()[self.prefix.len()..].to_vec()))
     }
 
-    fn next(&mut self, backend: &mut Backend<'_, '_>) -> FirestoreResult<Option<Posting>> {
-        Ok(self
-            .cursor
-            .next(backend)?
-            .map(|(_, v)| Posting { name_bytes: v }))
+    fn next(&mut self, backend: &mut Backend<'_, '_>) -> FirestoreResult<Option<Bytes>> {
+        Ok(self.cursor.next(backend)?.map(|(_, name, _)| name))
     }
 
     /// Jump (in scan order) to the first posting whose suffix is at or past
@@ -268,7 +255,7 @@ impl UnionCursor {
         }
     }
 
-    fn next(&mut self, backend: &mut Backend<'_, '_>) -> FirestoreResult<Option<Posting>> {
+    fn next(&mut self, backend: &mut Backend<'_, '_>) -> FirestoreResult<Option<Bytes>> {
         match self.best_arm(backend)? {
             Some(i) => self.arms[i].next(backend),
             None => Ok(None),
@@ -308,7 +295,7 @@ impl ZigZagMerge {
         }
     }
 
-    fn next(&mut self, backend: &mut Backend<'_, '_>) -> FirestoreResult<Option<Posting>> {
+    fn next(&mut self, backend: &mut Backend<'_, '_>) -> FirestoreResult<Option<Bytes>> {
         if self.cursors.is_empty() {
             return Ok(None);
         }
@@ -366,11 +353,15 @@ struct WindowState {
     pending_after: Option<Bytes>,
     to_skip: usize,
     needed: usize,
-    rows: Vec<Bytes>,
+    /// Results accepted into the window.
+    taken: usize,
+    /// The accepted results' encoded names, kept only when the documents
+    /// will be fetched (a COUNT keeps nothing per match).
+    rows: Option<Vec<Bytes>>,
 }
 
 impl WindowState {
-    fn new(window: &Window, work_limit: usize) -> WindowState {
+    fn new(window: &Window, work_limit: usize, keep_rows: bool) -> WindowState {
         let needed = window
             .limit
             .unwrap_or(usize::MAX)
@@ -382,17 +373,20 @@ impl WindowState {
                 .map(|n| Bytes::from(n.encode())),
             to_skip: window.offset,
             needed,
-            rows: Vec::new(),
+            taken: 0,
+            rows: keep_rows.then(Vec::new),
         }
     }
 
     fn full(&self) -> bool {
-        self.rows.len() >= self.needed
+        self.taken >= self.needed
     }
 
-    fn offer(&mut self, name_bytes: Bytes) {
+    /// Offer the next match by encoded name; `owned` yields the name to
+    /// keep, and runs only when the window keeps it.
+    fn offer(&mut self, name_bytes: &[u8], owned: impl FnOnce() -> Bytes) {
         if let Some(after) = &self.pending_after {
-            if name_bytes == *after {
+            if name_bytes == after.as_slice() {
                 self.pending_after = None;
             }
             return;
@@ -401,15 +395,18 @@ impl WindowState {
             self.to_skip -= 1;
             return;
         }
-        if self.rows.len() < self.needed {
-            self.rows.push(name_bytes);
+        if self.taken < self.needed {
+            self.taken += 1;
+            if let Some(rows) = &mut self.rows {
+                rows.push(owned());
+            }
         }
     }
 
     /// Close the window: truncate to the per-RPC work cap and report the
     /// resume point if anything was cut.
     fn finish(self, work_limit: usize) -> FirestoreResult<(Vec<Bytes>, Option<DocumentName>)> {
-        let mut rows = self.rows;
+        let mut rows = self.rows.unwrap_or_default();
         let mut resume_after = None;
         if rows.len() > work_limit {
             rows.truncate(work_limit);
@@ -434,17 +431,6 @@ fn pick_batch(window: &Window, work_limit: usize) -> usize {
     goal.saturating_add(1).clamp(MIN_BATCH, MAX_BATCH)
 }
 
-/// Execute `plan` for `query` with no per-RPC work limit.
-pub fn execute(
-    db: &SpannerDatabase,
-    dir: spanner::database::DirectoryId,
-    plan: &Plan,
-    query: &Query,
-    access: ReadAccess<'_>,
-) -> FirestoreResult<QueryResult> {
-    execute_limited(db, dir, plan, query, access, usize::MAX)
-}
-
 /// Execute `plan` for `query`, returning at most `work_limit` documents —
 /// the per-RPC result cap that "protects the system against problematic
 /// workloads" (§IV-C). A truncated result carries `resume_after`.
@@ -456,51 +442,11 @@ pub fn execute_limited(
     access: ReadAccess<'_>,
     work_limit: usize,
 ) -> FirestoreResult<QueryResult> {
-    let mut stats = QueryStats::default();
     let mut backend = match access {
         ReadAccess::Snapshot(ts) => Backend::Snapshot(SnapshotBackend { db, ts }),
         ReadAccess::Transaction(txn) => Backend::Transaction { db, txn },
     };
-    let mut win = WindowState::new(&plan.window, work_limit);
-    let batch = pick_batch(&plan.window, work_limit);
-
-    match &plan.node {
-        PlanNode::PrimaryScan { reverse } => {
-            let range = collection_range(dir, query);
-            let want_segments = query.collection.segments().len() + 1;
-            let mut cursor = RangeCursor::new(ENTITIES, range, *reverse, batch);
-            while !win.full() {
-                let Some((k, _)) = cursor.next(&mut backend)? else {
-                    break;
-                };
-                let name_bytes = &k.as_slice()[4..]; // strip directory prefix
-                let Some(name) = DocumentName::decode(name_bytes) else {
-                    return Err(FirestoreError::Internal("corrupt entity key".into()));
-                };
-                // The collection's key range also covers sub-collection
-                // documents; keep only direct children.
-                if name.segments().len() != want_segments {
-                    continue;
-                }
-                stats.entries_returned += 1;
-                win.offer(Bytes::copy_from_slice(name_bytes));
-            }
-            stats.entries_examined += cursor.rows_read;
-            stats.seeks += cursor.seeks;
-        }
-        PlanNode::IndexScans { scans, reverse } => {
-            let mut merge = ZigZagMerge::new(scans, *reverse, batch);
-            while !win.full() {
-                let Some(p) = merge.next(&mut backend)? else {
-                    break;
-                };
-                stats.entries_returned += 1;
-                win.offer(p.name_bytes);
-            }
-            merge.add_stats(&mut stats);
-        }
-    }
-
+    let (win, mut stats) = stream_window(&mut backend, dir, plan, query, work_limit, true)?;
     let (rows, resume_after) = win.finish(work_limit)?;
 
     // Fetch the documents, one batched Entities lookup per page.
@@ -516,14 +462,10 @@ pub fn execute_limited(
             // An entry without a document would indicate index corruption;
             // the write path keeps them strongly consistent, so treat it as
             // fatal.
-            let Some((bytes, version_ts)) = raw else {
+            let Some(mut doc) = crate::write::decode_row(&name, raw)? else {
                 return Err(FirestoreError::Internal(format!(
                     "dangling index entry for {name}"
                 )));
-            };
-            let Some(mut doc) = crate::write::decode_from_storage(name.clone(), &bytes, version_ts)
-            else {
-                return Err(FirestoreError::Internal(format!("corrupt document {name}")));
             };
             if let Some(projection) = &query.projection {
                 doc.fields.retain(|k, _| projection.iter().any(|p| p == k));
@@ -551,66 +493,62 @@ pub fn count(
     query: &Query,
     ts: Timestamp,
 ) -> FirestoreResult<(usize, QueryStats)> {
-    let mut stats = QueryStats::default();
     let mut backend = Backend::Snapshot(SnapshotBackend { db, ts });
-    let window = &plan.window;
-    let mut pending_after: Option<Vec<u8>> = window.start_after.as_ref().map(|n| n.encode());
-    // Counting needs at most offset + limit matches.
-    let stop_at = window
-        .limit
-        .map(|l| window.offset.saturating_add(l))
-        .unwrap_or(usize::MAX);
-    let mut matched = 0usize;
+    let (win, stats) = stream_window(&mut backend, dir, plan, query, usize::MAX, false)?;
+    Ok((win.taken, stats))
+}
 
+/// Stream the plan's matches through its window until the window is full or
+/// the scans run dry — the one cursor / zig-zag / window loop behind both
+/// executions and COUNTs.
+fn stream_window(
+    backend: &mut Backend<'_, '_>,
+    dir: spanner::database::DirectoryId,
+    plan: &Plan,
+    query: &Query,
+    work_limit: usize,
+    keep_rows: bool,
+) -> FirestoreResult<(WindowState, QueryStats)> {
+    let mut stats = QueryStats::default();
+    let mut win = WindowState::new(&plan.window, work_limit, keep_rows);
+    let batch = pick_batch(&plan.window, work_limit);
     match &plan.node {
         PlanNode::PrimaryScan { reverse } => {
             let range = collection_range(dir, query);
             let want_segments = query.collection.segments().len() + 1;
-            let mut cursor = RangeCursor::new(ENTITIES, range, *reverse, MAX_BATCH);
-            while matched < stop_at {
-                let Some((k, _)) = cursor.next(&mut backend)? else {
+            let mut cursor = RangeCursor::new(ENTITIES, range, *reverse, batch);
+            while !win.full() {
+                let Some((k, _, _)) = cursor.next(backend)? else {
                     break;
                 };
-                let name_bytes = &k.as_slice()[4..];
+                let name_bytes = &k.as_slice()[4..]; // strip directory prefix
                 let Some(name) = DocumentName::decode(name_bytes) else {
-                    continue;
+                    return Err(FirestoreError::Internal("corrupt entity key".into()));
                 };
+                // The collection's key range also covers sub-collection
+                // documents; keep only direct children.
                 if name.segments().len() != want_segments {
                     continue;
                 }
-                if let Some(after) = &pending_after {
-                    if name_bytes == &after[..] {
-                        pending_after = None;
-                    }
-                    continue;
-                }
-                matched += 1;
+                stats.entries_returned += 1;
+                win.offer(name_bytes, || Bytes::copy_from_slice(name_bytes));
             }
             stats.entries_examined += cursor.rows_read;
             stats.seeks += cursor.seeks;
         }
         PlanNode::IndexScans { scans, reverse } => {
-            let mut merge = ZigZagMerge::new(scans, *reverse, MAX_BATCH);
-            while matched < stop_at {
-                let Some(p) = merge.next(&mut backend)? else {
+            let mut merge = ZigZagMerge::new(scans, *reverse, batch);
+            while !win.full() {
+                let Some(name_bytes) = merge.next(backend)? else {
                     break;
                 };
-                if let Some(after) = &pending_after {
-                    if p.name_bytes.as_ref() == after.as_slice() {
-                        pending_after = None;
-                    }
-                    continue;
-                }
-                matched += 1;
+                stats.entries_returned += 1;
+                win.offer(&name_bytes, || name_bytes.clone());
             }
             merge.add_stats(&mut stats);
         }
     }
-    stats.entries_returned = matched;
-    let windowed = matched
-        .saturating_sub(window.offset)
-        .min(window.limit.unwrap_or(usize::MAX));
-    Ok((windowed, stats))
+    Ok((win, stats))
 }
 
 /// The Entities-table key range of a query's collection.
@@ -710,7 +648,7 @@ mod tests {
         let mut out = Vec::new();
         while out.len() < max {
             match merge.next(backend).unwrap() {
-                Some(p) => out.push(p.name_bytes.to_vec()),
+                Some(name_bytes) => out.push(name_bytes.to_vec()),
                 None => break,
             }
         }
@@ -884,12 +822,13 @@ mod tests {
                 start_after: None,
             },
             usize::MAX,
+            true,
         );
         for s in ["a", "b", "c", "d", "e"] {
             if win.full() {
                 break;
             }
-            win.offer(nb(s));
+            win.offer(s.as_bytes(), || nb(s));
         }
         let (rows, resume) = win.finish(usize::MAX).unwrap();
         assert_eq!(rows, vec![nb("b"), nb("c")]);

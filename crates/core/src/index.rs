@@ -195,16 +195,6 @@ impl IndexCatalog {
         }))
     }
 
-    /// Read-only variant of [`IndexCatalog::auto_index_id`]: `None` when
-    /// never allocated or exempt. Queries use this — an auto index with no
-    /// entries yet is still valid, so queries allocate too; exposed for
-    /// tests.
-    pub fn existing_auto_index_id(&self, collection_id: &str, field: &str) -> Option<IndexId> {
-        self.auto_ids
-            .get(&(collection_id.to_string(), field.to_string()))
-            .copied()
-    }
-
     /// Reverse lookup for EXPLAIN output: a human-readable description of an
     /// index id — the composite's field list, or `auto <collection>.<field>`
     /// for an automatic single-field index. `None` for unknown ids.

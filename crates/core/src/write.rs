@@ -24,12 +24,12 @@
 
 use crate::document::{Document, Value, MAX_DOCUMENT_SIZE};
 use crate::error::{FirestoreError, FirestoreResult};
-use crate::executor::{ENTITIES, INDEX_ENTRIES};
+use crate::executor::{ReadAccess, ENTITIES, INDEX_ENTRIES};
 use crate::index::{entry_diff_per_index, IndexState};
 use crate::observer::{CommitOutcome, DocumentChange};
 use crate::path::DocumentName;
 use bytes::Bytes;
-use rules::{AuthContext, DataSource, Method, RequestContext, RuleValue};
+use rules::{AuthContext, DataSource, EvalError, Method, RequestContext, RuleValue};
 use simkit::{prof, Duration, Timestamp};
 use spanner::{ReadWriteTransaction, SpannerError};
 use std::cell::RefCell;
@@ -273,49 +273,61 @@ pub fn fields_to_rule(fields: &BTreeMap<String, Value>) -> RuleValue {
     )
 }
 
-/// A [`DataSource`] resolving `get()`/`exists()` rules lookups through the
-/// same Spanner transaction as the write being authorized —
-/// "transactionally-consistent fashion with the operation being authorized"
-/// (§III-E).
-pub struct TxnDataSource<'a> {
-    /// The Spanner handle.
-    pub spanner: &'a spanner::SpannerDatabase,
-    /// The database's directory.
-    pub dir: spanner::database::DirectoryId,
-    /// The in-flight transaction (interior mutability because
-    /// [`DataSource::get_document`] takes `&self`).
-    pub txn: RefCell<&'a mut ReadWriteTransaction>,
+/// The [`DataSource`] behind every rules `get()`/`exists()` lookup: reads
+/// at the request's snapshot timestamp, or through the same Spanner
+/// transaction as the write being authorized — "transactionally-consistent
+/// fashion with the operation being authorized" (§III-E). A lookup that
+/// meets a storage error is an evaluation error, which never grants; the
+/// error is kept so the request fails with it rather than with a denial.
+pub(crate) struct RulesDataSource<'a> {
+    spanner: &'a spanner::SpannerDatabase,
+    dir: spanner::database::DirectoryId,
+    /// Interior mutability because [`DataSource::get_document`] takes
+    /// `&self` and a transactional read needs `&mut` to the transaction.
+    access: RefCell<ReadAccess<'a>>,
+    failure: RefCell<Option<FirestoreError>>,
 }
 
-impl DataSource for TxnDataSource<'_> {
-    fn get_document(&self, path: &[String]) -> Option<RuleValue> {
-        let name = DocumentName::from_segments(path.to_vec()).ok()?;
-        let key = self.dir.key(&name.encode());
-        let mut txn = self.txn.borrow_mut();
-        let bytes = self.spanner.txn_read(&mut txn, ENTITIES, &key).ok()??;
-        let doc = Document::decode(name, &bytes)?;
-        Some(fields_to_rule(&doc.fields))
+impl<'a> RulesDataSource<'a> {
+    pub(crate) fn new(
+        spanner: &'a spanner::SpannerDatabase,
+        dir: spanner::database::DirectoryId,
+        access: ReadAccess<'a>,
+    ) -> RulesDataSource<'a> {
+        RulesDataSource {
+            spanner,
+            dir,
+            access: RefCell::new(access),
+            failure: RefCell::new(None),
+        }
+    }
+
+    /// The first storage error a lookup met, if any.
+    pub(crate) fn into_failure(self) -> Option<FirestoreError> {
+        self.failure.into_inner()
     }
 }
 
-/// A [`DataSource`] resolving lookups at a snapshot timestamp (for read
-/// authorization outside transactions).
-pub struct SnapshotDataSource<'a> {
-    /// The Spanner handle.
-    pub spanner: &'a spanner::SpannerDatabase,
-    /// The database's directory.
-    pub dir: spanner::database::DirectoryId,
-    /// Read timestamp.
-    pub ts: Timestamp,
-}
-
-impl DataSource for SnapshotDataSource<'_> {
-    fn get_document(&self, path: &[String]) -> Option<RuleValue> {
-        let name = DocumentName::from_segments(path.to_vec()).ok()?;
+impl DataSource for RulesDataSource<'_> {
+    fn get_document(&self, path: &[String]) -> Result<Option<RuleValue>, EvalError> {
+        let Ok(name) = DocumentName::from_segments(path.to_vec()) else {
+            return Ok(None);
+        };
         let key = self.dir.key(&name.encode());
-        let bytes = self.spanner.snapshot_read(ENTITIES, &key, self.ts).ok()??;
-        let doc = Document::decode(name, &bytes)?;
-        Some(fields_to_rule(&doc.fields))
+        let row = match &mut *self.access.borrow_mut() {
+            ReadAccess::Snapshot(ts) => self.spanner.snapshot_read_versioned(ENTITIES, &key, *ts),
+            ReadAccess::Transaction(txn) => self.spanner.txn_read_versioned(txn, ENTITIES, &key),
+        };
+        match row {
+            Ok(row) => Ok(row
+                .and_then(|(bytes, _)| Document::decode(name, &bytes))
+                .map(|doc| fields_to_rule(&doc.fields))),
+            Err(e) => {
+                let message = format!("lookup of {name} failed: {e}");
+                self.failure.borrow_mut().get_or_insert(e.into());
+                Err(EvalError { message })
+            }
+        }
     }
 }
 
@@ -432,6 +444,19 @@ pub fn decode_from_storage(
         doc.create_time = version_ts;
     }
     Some(doc)
+}
+
+/// Decode the `Entities` row of `name` as read (value and version
+/// timestamp); a row that does not decode is corruption.
+pub(crate) fn decode_row(
+    name: &DocumentName,
+    row: Option<(Bytes, Timestamp)>,
+) -> FirestoreResult<Option<Document>> {
+    row.map(|(bytes, version_ts)| {
+        decode_from_storage(name.clone(), &bytes, version_ts)
+            .ok_or_else(|| FirestoreError::Internal(format!("corrupt document {name}")))
+    })
+    .transpose()
 }
 
 /// The states whose indexes a write must maintain: `Ready` plus in-progress

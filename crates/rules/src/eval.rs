@@ -25,17 +25,19 @@ use std::fmt;
 /// Paths passed here are document path segments relative to the documents
 /// root (the standard `/databases/{db}/documents` prefix is stripped).
 pub trait DataSource {
-    /// The stored data (a map) of the document at `path`, or `None` if it
-    /// does not exist.
-    fn get_document(&self, path: &[String]) -> Option<RuleValue>;
+    /// The stored data (a map) of the document at `path`, `Ok(None)` if it
+    /// does not exist, or an error if the lookup itself failed (storage
+    /// unavailable, lock conflict). A failed lookup is an evaluation error,
+    /// so it never grants access.
+    fn get_document(&self, path: &[String]) -> Result<Option<RuleValue>, EvalError>;
 }
 
 /// A data source with no documents (for rulesets that never call `get`).
 pub struct EmptyDataSource;
 
 impl DataSource for EmptyDataSource {
-    fn get_document(&self, _path: &[String]) -> Option<RuleValue> {
-        None
+    fn get_document(&self, _path: &[String]) -> Result<Option<RuleValue>, EvalError> {
+        Ok(None)
     }
 }
 
@@ -535,7 +537,7 @@ impl<'a> Evaluator<'a> {
                         },
                     };
                     let doc_path = strip_documents_prefix(&segments);
-                    let doc = self.data.get_document(doc_path);
+                    let doc = self.data.get_document(doc_path)?;
                     if name == "exists" {
                         Ok(RuleValue::Bool(doc.is_some()))
                     } else {
@@ -778,8 +780,8 @@ mod tests {
     struct MapSource(HashMap<String, RuleValue>);
 
     impl DataSource for MapSource {
-        fn get_document(&self, path: &[String]) -> Option<RuleValue> {
-            self.0.get(&path.join("/")).cloned()
+        fn get_document(&self, path: &[String]) -> Result<Option<RuleValue>, EvalError> {
+            Ok(self.0.get(&path.join("/")).cloned())
         }
     }
 

@@ -16,6 +16,7 @@ use crate::error::SpannerResult;
 use crate::key::{Key, KeyRange};
 use crate::TableName;
 use bytes::Bytes;
+use simkit::Timestamp;
 use std::collections::VecDeque;
 
 /// The storage access a [`RangeCursor`] refills through. Implemented for
@@ -23,14 +24,15 @@ use std::collections::VecDeque;
 /// transactional reads (which must thread a `&mut` transaction).
 pub trait ScanBackend {
     /// Read up to `limit` rows of `range` from `table`, in key order
-    /// (or reverse key order when `reverse`).
+    /// (or reverse key order when `reverse`), each with the commit
+    /// timestamp of the version read.
     fn scan(
         &mut self,
         table: TableName,
         range: &KeyRange,
         limit: usize,
         reverse: bool,
-    ) -> SpannerResult<Vec<(Key, Bytes)>>;
+    ) -> SpannerResult<Vec<(Key, Bytes, Timestamp)>>;
 }
 
 /// Lock-free snapshot [`ScanBackend`] at a fixed timestamp.
@@ -38,7 +40,7 @@ pub struct SnapshotBackend<'a> {
     /// The database read from.
     pub db: &'a crate::SpannerDatabase,
     /// The read timestamp.
-    pub ts: simkit::Timestamp,
+    pub ts: Timestamp,
 }
 
 impl ScanBackend for SnapshotBackend<'_> {
@@ -48,12 +50,9 @@ impl ScanBackend for SnapshotBackend<'_> {
         range: &KeyRange,
         limit: usize,
         reverse: bool,
-    ) -> SpannerResult<Vec<(Key, Bytes)>> {
-        if reverse {
-            self.db.snapshot_scan_rev(table, range, self.ts, limit)
-        } else {
-            self.db.snapshot_scan(table, range, self.ts, limit)
-        }
+    ) -> SpannerResult<Vec<(Key, Bytes, Timestamp)>> {
+        self.db
+            .snapshot_scan_directed(table, range, self.ts, limit, reverse)
     }
 }
 
@@ -68,7 +67,7 @@ pub struct RangeCursor {
     remaining: KeyRange,
     reverse: bool,
     batch: usize,
-    buf: VecDeque<(Key, Bytes)>,
+    buf: VecDeque<(Key, Bytes, Timestamp)>,
     /// Set when storage returned fewer rows than requested: the remainder
     /// is exhausted.
     done: bool,
@@ -91,11 +90,6 @@ impl RangeCursor {
             rows_read: 0,
             seeks: 0,
         }
-    }
-
-    /// Raise (or lower) the refill batch size.
-    pub fn set_batch(&mut self, batch: usize) {
-        self.batch = batch.max(1);
     }
 
     fn refill(&mut self, backend: &mut impl ScanBackend) -> SpannerResult<()> {
@@ -121,7 +115,10 @@ impl RangeCursor {
     }
 
     /// The current head row, refilling from storage if needed.
-    pub fn peek(&mut self, backend: &mut impl ScanBackend) -> SpannerResult<Option<&(Key, Bytes)>> {
+    pub fn peek(
+        &mut self,
+        backend: &mut impl ScanBackend,
+    ) -> SpannerResult<Option<&(Key, Bytes, Timestamp)>> {
         if self.buf.is_empty() && !self.done {
             self.refill(backend)?;
         }
@@ -130,7 +127,10 @@ impl RangeCursor {
     }
 
     /// Pop the current head row.
-    pub fn next(&mut self, backend: &mut impl ScanBackend) -> SpannerResult<Option<(Key, Bytes)>> {
+    pub fn next(
+        &mut self,
+        backend: &mut impl ScanBackend,
+    ) -> SpannerResult<Option<(Key, Bytes, Timestamp)>> {
         if self.buf.is_empty() && !self.done {
             self.refill(backend)?;
         }
@@ -143,7 +143,7 @@ impl RangeCursor {
     /// remaining range without ever being fetched.
     pub fn seek(&mut self, target: &Key) {
         let mut skipped = false;
-        while let Some((k, _)) = self.buf.front() {
+        while let Some((k, _, _)) = self.buf.front() {
             let behind = if self.reverse { k > target } else { k < target };
             if behind {
                 self.buf.pop_front();
@@ -181,7 +181,7 @@ impl RangeCursor {
 mod tests {
     use super::*;
     use crate::SpannerDatabase;
-    use simkit::{Duration, SimClock, Timestamp};
+    use simkit::{Duration, SimClock};
 
     const T: TableName = "Entities";
 
@@ -211,7 +211,7 @@ mod tests {
         let mut backend = SnapshotBackend { db: &db, ts };
         let mut cur = RangeCursor::new(T, KeyRange::all(), false, 8);
         for i in 0..10 {
-            let (k, _) = cur.next(&mut backend).unwrap().unwrap();
+            let (k, _, _) = cur.next(&mut backend).unwrap().unwrap();
             assert_eq!(k, Key::from(format!("k{i:04}").as_str()));
         }
         assert!(
@@ -226,9 +226,9 @@ mod tests {
         let (db, ts) = setup(50);
         let mut backend = SnapshotBackend { db: &db, ts };
         let mut cur = RangeCursor::new(T, KeyRange::all(), true, 4);
-        let (k, _) = cur.next(&mut backend).unwrap().unwrap();
+        let (k, _, _) = cur.next(&mut backend).unwrap().unwrap();
         assert_eq!(k, Key::from("k0049"));
-        let (k, _) = cur.next(&mut backend).unwrap().unwrap();
+        let (k, _, _) = cur.next(&mut backend).unwrap().unwrap();
         assert_eq!(k, Key::from("k0048"));
         assert!(cur.rows_read <= 8);
     }
@@ -240,7 +240,7 @@ mod tests {
         let mut cur = RangeCursor::new(T, KeyRange::all(), false, 4);
         cur.next(&mut backend).unwrap(); // fetch one batch
         cur.seek(&Key::from("k0090"));
-        let (k, _) = cur.next(&mut backend).unwrap().unwrap();
+        let (k, _, _) = cur.next(&mut backend).unwrap().unwrap();
         assert_eq!(k, Key::from("k0090"));
         assert!(
             cur.rows_read <= 8,
@@ -257,7 +257,7 @@ mod tests {
         let mut cur = RangeCursor::new(T, KeyRange::all(), true, 4);
         cur.next(&mut backend).unwrap(); // k0099
         cur.seek(&Key::from("k0010"));
-        let (k, _) = cur.next(&mut backend).unwrap().unwrap();
+        let (k, _, _) = cur.next(&mut backend).unwrap().unwrap();
         assert_eq!(k, Key::from("k0010"));
         assert!(cur.rows_read <= 8, "read {}", cur.rows_read);
     }
@@ -268,7 +268,7 @@ mod tests {
         let mut backend = SnapshotBackend { db: &db, ts };
         let mut cur = RangeCursor::new(T, KeyRange::all(), false, 64);
         cur.seek(&Key::from("k0005x"));
-        let (k, _) = cur.next(&mut backend).unwrap().unwrap();
+        let (k, _, _) = cur.next(&mut backend).unwrap().unwrap();
         assert_eq!(k, Key::from("k0006"));
     }
 

@@ -18,9 +18,9 @@ use simkit::fault::{FaultInjector, FaultKind};
 use simkit::history::{hash_bytes, HistoryEvent, HistoryRecorder};
 use simkit::prof;
 use simkit::{CrashPoints, Duration, Obs, SimClock, SimDisk, Timestamp, TrueTime};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, PoisonError};
 
 /// A table name. Firestore uses `Entities` and `IndexEntries` (§IV-D1), plus
 /// a `Messages` table for the transactional messaging system (§IV-D2).
@@ -129,10 +129,30 @@ struct Inner {
     /// than the requested timestamp while *recording* the requested one — a
     /// deliberate staleness bug the oracle must catch.
     oracle_stale_reads: Mutex<Option<Duration>>,
+    /// Commit timestamps assigned but not yet applied to the stores. A
+    /// strong read waits until none at or below its timestamp remains
+    /// (Spanner's safe time), so it never sees half a commit.
+    unapplied: Mutex<BTreeSet<Timestamp>>,
+    /// Signalled whenever a timestamp leaves [`Inner::unapplied`].
+    applied: Condvar,
     /// Test-only perf-mutation knob (nanoseconds): extra charge added to
     /// every redo-log fsync, modeling a degraded device. The bench-gate
     /// mutation proof seeds this and asserts the gate fails.
     fsync_padding_ns: AtomicU64,
+}
+
+/// Removes an assigned commit timestamp from [`Inner::unapplied`] once the
+/// commit has been applied, or has failed, and wakes waiting strong reads.
+struct Unapplied<'a> {
+    inner: &'a Inner,
+    ts: Timestamp,
+}
+
+impl Drop for Unapplied<'_> {
+    fn drop(&mut self) {
+        self.inner.unapplied.lock().remove(&self.ts);
+        self.inner.applied.notify_all();
+    }
 }
 
 /// A Spanner-like database. Cheap to clone; clones share state.
@@ -170,6 +190,8 @@ impl SpannerDatabase {
                 orphan_locks: AtomicU64::new(0),
                 history: Mutex::new(None),
                 oracle_stale_reads: Mutex::new(None),
+                unapplied: Mutex::new(BTreeSet::new()),
+                applied: Condvar::new(),
                 fsync_padding_ns: AtomicU64::new(0),
             }),
         }
@@ -441,35 +463,38 @@ impl SpannerDatabase {
         }
     }
 
-    /// Record a snapshot-read observation, if a recorder is attached.
-    fn record_snapshot_read(
+    /// Record snapshot-read observations, if a recorder is attached.
+    fn record_snapshot_reads<'r>(
         &self,
         table: TableName,
-        key: &Key,
         ts: Timestamp,
-        observed: Option<u64>,
+        reads: impl Iterator<Item = (&'r Key, Option<&'r Bytes>)>,
     ) {
         if let Some(h) = self.inner.history.lock().as_ref() {
-            h.record(HistoryEvent::SnapshotRead {
-                ts,
-                table: table.to_string(),
-                key: key.as_slice().to_vec(),
-                observed,
-            });
+            for (key, value) in reads {
+                h.record(HistoryEvent::SnapshotRead {
+                    ts,
+                    table: table.to_string(),
+                    key: key.as_slice().to_vec(),
+                    observed: value.map(|v| hash_bytes(v)),
+                });
+            }
         }
     }
 
-    /// Record a transactional read observation into the transaction, if a
+    /// Record transactional read observations into the transaction, if a
     /// recorder is attached (drained into the `Commit` event on commit).
-    fn observe_txn_read(
+    fn observe_txn_reads<'r>(
         &self,
         txn: &mut ReadWriteTransaction,
         tid: u32,
-        key: &Key,
-        observed: Option<u64>,
+        reads: impl Iterator<Item = (&'r Key, Option<&'r Bytes>)>,
     ) {
         if self.inner.history.lock().is_some() {
-            txn.observed_reads.push((tid, key.clone(), observed));
+            for (key, value) in reads {
+                txn.observed_reads
+                    .push((tid, key.clone(), value.map(|v| hash_bytes(v))));
+            }
         }
     }
 
@@ -517,35 +542,101 @@ impl SpannerDatabase {
         ReadWriteTransaction::new(TxnId(self.inner.next_txn.fetch_add(1, Ordering::SeqCst)))
     }
 
-    /// Transactional read with a shared lock. Sees the transaction's own
-    /// buffered writes.
-    pub fn txn_read(
+    /// Transactional read with a shared lock, returning the value and the
+    /// commit timestamp of the version read. Sees the transaction's own
+    /// buffered writes, reported with a version timestamp of zero (they are
+    /// not committed yet).
+    pub fn txn_read_versioned(
         &self,
         txn: &mut ReadWriteTransaction,
         table: TableName,
         key: &Key,
-    ) -> SpannerResult<Option<Bytes>> {
-        self.txn_read_locked(txn, table, key, LockMode::Shared)
+    ) -> SpannerResult<Option<(Bytes, Timestamp)>> {
+        self.txn_read(txn, table, key, LockMode::Shared)
     }
 
-    /// Transactional read with an exclusive lock, as the Backend does for
-    /// documents it is about to write (paper §IV-D2 step 2).
-    pub fn txn_read_for_update(
+    /// Transactional read with an *exclusive* lock, as the Backend does for
+    /// documents it is about to write (paper §IV-D2 step 2); otherwise as
+    /// [`SpannerDatabase::txn_read_versioned`].
+    pub fn txn_read_for_update_versioned(
         &self,
         txn: &mut ReadWriteTransaction,
         table: TableName,
         key: &Key,
-    ) -> SpannerResult<Option<Bytes>> {
-        self.txn_read_locked(txn, table, key, LockMode::Exclusive)
+    ) -> SpannerResult<Option<(Bytes, Timestamp)>> {
+        self.txn_read(txn, table, key, LockMode::Exclusive)
     }
 
-    fn txn_read_locked(
+    /// The one transactional point read: the shared prologue, the
+    /// transaction's buffered write if any, else a `mode` lock on `key` and
+    /// its latest committed version.
+    fn txn_read(
         &self,
         txn: &mut ReadWriteTransaction,
         table: TableName,
         key: &Key,
         mode: LockMode,
-    ) -> SpannerResult<Option<Bytes>> {
+    ) -> SpannerResult<Option<(Bytes, Timestamp)>> {
+        let (tid, data) = self.txn_table(txn, table)?;
+        if let Some(buffered) = txn.buffered(tid, key) {
+            return Ok(buffered.map(|b| (b, Timestamp::ZERO)));
+        }
+        if let Err(e) = self.inner.locks.acquire(txn.id, tid, key, mode) {
+            self.abort(txn);
+            return Err(e);
+        }
+        let row = data
+            .store
+            .read()
+            .read(key, Timestamp::MAX)
+            .map_err(|_| SpannerError::SnapshotTooOld)?;
+        self.observe_txn_reads(
+            txn,
+            tid,
+            std::iter::once((key, row.as_ref().map(|(b, _)| b))),
+        );
+        Ok(row)
+    }
+
+    /// Transactional scan of up to `limit` rows of `range`, in key order or,
+    /// when `reverse`, from the top of the range down. Shared-locks each
+    /// returned key so concurrent writers conflict (the read-lock behaviour
+    /// of queries inside transactions, §IV-D3); the bounded reverse read
+    /// lets descending limit queries lock only the rows they examine. Does
+    /// not merge buffered writes — Firestore's Backend performs queries
+    /// before buffering mutations.
+    pub fn txn_scan(
+        &self,
+        txn: &mut ReadWriteTransaction,
+        table: TableName,
+        range: &KeyRange,
+        limit: usize,
+        reverse: bool,
+    ) -> SpannerResult<Vec<(Key, Bytes, Timestamp)>> {
+        let (tid, data) = self.txn_table(txn, table)?;
+        let rows = data
+            .store
+            .read()
+            .scan(range, Timestamp::MAX, limit, reverse)
+            .map_err(|_| SpannerError::SnapshotTooOld)?;
+        for (k, _, _) in &rows {
+            if let Err(e) = self.inner.locks.acquire(txn.id, tid, k, LockMode::Shared) {
+                self.abort(txn);
+                return Err(e);
+            }
+        }
+        self.observe_txn_reads(txn, tid, rows.iter().map(|(k, v, _)| (k, Some(v))));
+        Ok(rows)
+    }
+
+    /// The prologue of every transactional read and scan: reject a closed
+    /// or fenced transaction, consult the chaos layer once at the
+    /// `txn-read` site — before any lock is taken — and resolve the table.
+    fn txn_table(
+        &self,
+        txn: &mut ReadWriteTransaction,
+        table: TableName,
+    ) -> SpannerResult<(u32, Arc<TableData>)> {
         if txn.closed {
             return Err(SpannerError::TxnClosed(txn.id));
         }
@@ -554,92 +645,7 @@ impl SpannerDatabase {
             self.abort(txn);
             return Err(SpannerError::Unavailable("txn-read: tablet unreachable"));
         }
-        let (tid, data) = self.table(table)?;
-        if let Some(buffered) = txn.buffered(tid, key) {
-            return Ok(buffered);
-        }
-        if let Err(e) = self.inner.locks.acquire(txn.id, tid, key, mode) {
-            self.abort(txn);
-            return Err(e);
-        }
-        txn.read_keys.push((tid, key.clone()));
-        let value = data.store.read().read_latest(key);
-        self.observe_txn_read(txn, tid, key, value.as_deref().map(hash_bytes));
-        Ok(value)
-    }
-
-    /// Transactional scan: shared-locks each returned key so concurrent
-    /// writers conflict (the read-lock behaviour of queries inside
-    /// transactions, §IV-D3). Does not merge buffered writes — Firestore's
-    /// Backend performs queries before buffering mutations.
-    pub fn txn_scan(
-        &self,
-        txn: &mut ReadWriteTransaction,
-        table: TableName,
-        range: &KeyRange,
-        limit: usize,
-    ) -> SpannerResult<Vec<(Key, Bytes)>> {
-        if txn.closed {
-            return Err(SpannerError::TxnClosed(txn.id));
-        }
-        self.fence(txn)?;
-        let (tid, data) = self.table(table)?;
-        let rows: Vec<(Key, Bytes)> = {
-            let store = data.store.read();
-            let mut out = Vec::new();
-            for (k, v) in store
-                .scan_at(&range.clone(), Timestamp::MAX, limit)
-                .unwrap_or_default()
-            {
-                out.push((k, v));
-            }
-            out
-        };
-        for (k, _) in &rows {
-            if let Err(e) = self.inner.locks.acquire(txn.id, tid, k, LockMode::Shared) {
-                self.abort(txn);
-                return Err(e);
-            }
-        }
-        for (k, v) in &rows {
-            self.observe_txn_read(txn, tid, k, Some(hash_bytes(v)));
-        }
-        txn.scanned_ranges.push((tid, range.clone()));
-        Ok(rows)
-    }
-
-    /// Transactional scan in *reverse* key order: shared-locks each returned
-    /// key, reading at most `limit` rows from the top of the range. The
-    /// bounded reverse read lets descending limit queries inside
-    /// transactions lock only the rows they actually examine.
-    pub fn txn_scan_rev(
-        &self,
-        txn: &mut ReadWriteTransaction,
-        table: TableName,
-        range: &KeyRange,
-        limit: usize,
-    ) -> SpannerResult<Vec<(Key, Bytes)>> {
-        if txn.closed {
-            return Err(SpannerError::TxnClosed(txn.id));
-        }
-        self.fence(txn)?;
-        let (tid, data) = self.table(table)?;
-        let rows: Vec<(Key, Bytes)> = data
-            .store
-            .read()
-            .scan_rev_at(&range.clone(), Timestamp::MAX, limit)
-            .unwrap_or_default();
-        for (k, _) in &rows {
-            if let Err(e) = self.inner.locks.acquire(txn.id, tid, k, LockMode::Shared) {
-                self.abort(txn);
-                return Err(e);
-            }
-        }
-        for (k, v) in &rows {
-            self.observe_txn_read(txn, tid, k, Some(hash_bytes(v)));
-        }
-        txn.scanned_ranges.push((tid, range.clone()));
-        Ok(rows)
+        self.table(table)
     }
 
     /// Buffer an insert/update.
@@ -758,13 +764,21 @@ impl SpannerDatabase {
             s.event(format!("locks-acquired n={}", txn.mutations.len()));
         }
 
-        // Phase 2: assign a TrueTime commit timestamp inside the window.
-        let commit_ts = match self.inner.truetime.assign_commit_timestamp(min_ts, max_ts) {
-            Some(ts) => ts,
-            None => {
-                self.abort(&mut txn);
-                return Err(SpannerError::CommitWindowExpired);
-            }
+        // Phase 2: assign a TrueTime commit timestamp inside the window,
+        // registered as unapplied until phase 3b has applied it.
+        let assigned = {
+            let mut unapplied = self.inner.unapplied.lock();
+            let ts = self.inner.truetime.assign_commit_timestamp(min_ts, max_ts);
+            unapplied.extend(ts);
+            ts
+        };
+        let Some(commit_ts) = assigned else {
+            self.abort(&mut txn);
+            return Err(SpannerError::CommitWindowExpired);
+        };
+        let unapplied = Unapplied {
+            inner: &self.inner,
+            ts: commit_ts,
         };
         if let Some(s) = &span {
             s.attr("commit_ts", commit_ts.as_nanos());
@@ -1018,6 +1032,7 @@ impl SpannerDatabase {
                 idxs.dedup();
                 participants += idxs.len();
             }
+            drop(unapplied);
             // No durable medium: the volatile apply is the commit point.
             if let (Some(h), Some(ev)) = (&history, pending_commit_event.take()) {
                 h.record(ev);
@@ -1079,56 +1094,22 @@ impl SpannerDatabase {
     }
 
     /// A timestamp at which a strong (lock-free) read sees every commit that
-    /// completed before now.
+    /// completed before now. Returns only once every commit assigned a
+    /// timestamp at or below it has been applied (or has failed), so a read
+    /// at it never sees part of a commit.
     pub fn strong_read_ts(&self) -> Timestamp {
-        self.inner.truetime.strong_read_timestamp()
-    }
-
-    /// Lock-free read of `key` at `ts`.
-    pub fn snapshot_read(
-        &self,
-        table: TableName,
-        key: &Key,
-        ts: Timestamp,
-    ) -> SpannerResult<Option<Bytes>> {
-        if self.inject(FaultKind::TabletUnavailable, "snapshot-read") {
-            return Err(SpannerError::Unavailable("snapshot-read: tablet unreachable"));
-        }
-        let (_, data) = self.table(table)?;
-        let r = data
-            .store
-            .read()
-            .read_at(key, self.serve_ts(ts))
-            .map_err(|_| SpannerError::SnapshotTooOld);
-        if let Ok(value) = &r {
-            self.record_snapshot_read(table, key, ts, value.as_deref().map(hash_bytes));
-        }
-        r
-    }
-
-    /// Lock-free ordered scan of `range` at `ts`, up to `limit` rows.
-    pub fn snapshot_scan(
-        &self,
-        table: TableName,
-        range: &KeyRange,
-        ts: Timestamp,
-        limit: usize,
-    ) -> SpannerResult<Vec<(Key, Bytes)>> {
-        if self.inject(FaultKind::TabletUnavailable, "snapshot-scan") {
-            return Err(SpannerError::Unavailable("snapshot-scan: tablet unreachable"));
-        }
-        let (_, data) = self.table(table)?;
-        let r = data
-            .store
-            .read()
-            .scan_at(range, self.serve_ts(ts), limit)
-            .map_err(|_| SpannerError::SnapshotTooOld);
-        if let Ok(rows) = &r {
-            for (k, v) in rows {
-                self.record_snapshot_read(table, k, ts, Some(hash_bytes(v)));
-            }
-        }
-        r
+        // Under the registry lock: a commit assigned concurrently is either
+        // registered already or gets a timestamp above `ts`.
+        let unapplied = self.inner.unapplied.lock();
+        let ts = self.inner.truetime.strong_read_timestamp();
+        let _safe = self
+            .inner
+            .applied
+            .wait_while(unapplied, |set| {
+                set.first().is_some_and(|&first| first <= ts)
+            })
+            .unwrap_or_else(PoisonError::into_inner);
+        ts
     }
 
     /// Lock-free read of `key` at `ts`, returning the value and the commit
@@ -1139,136 +1120,58 @@ impl SpannerDatabase {
         key: &Key,
         ts: Timestamp,
     ) -> SpannerResult<Option<(Bytes, Timestamp)>> {
-        let (_, data) = self.table(table)?;
-        let r = data
-            .store
-            .read()
-            .read_at_versioned(key, self.serve_ts(ts))
-            .map_err(|_| SpannerError::SnapshotTooOld);
-        if let Ok(value) = &r {
-            self.record_snapshot_read(table, key, ts, value.as_ref().map(|(b, _)| hash_bytes(b)));
-        }
-        r
+        let mut rows = self.snapshot_read_many_versioned(table, std::slice::from_ref(key), ts)?;
+        Ok(rows.pop().flatten())
     }
 
     /// Lock-free batched read of many keys at `ts`, returning value and
     /// commit timestamp per key (in input order; `None` for absent rows).
-    /// One storage lock acquisition serves the whole page — the query
-    /// executor's per-result-page document fetch (§IV-D3).
+    /// One storage lock acquisition and one consultation of the chaos layer
+    /// (`snapshot-read` site) serve the whole page — the query executor's
+    /// per-result-page document fetch (§IV-D3).
     pub fn snapshot_read_many_versioned(
         &self,
         table: TableName,
         keys: &[Key],
         ts: Timestamp,
     ) -> SpannerResult<Vec<Option<(Bytes, Timestamp)>>> {
-        if self.inject(FaultKind::TabletUnavailable, "snapshot-read-many") {
+        if self.inject(FaultKind::TabletUnavailable, "snapshot-read") {
             return Err(SpannerError::Unavailable(
-                "snapshot-read-many: tablet unreachable",
+                "snapshot-read: tablet unreachable",
             ));
         }
         let (_, data) = self.table(table)?;
-        let r: SpannerResult<Vec<Option<(Bytes, Timestamp)>>> = {
+        let at = self.serve_ts(ts);
+        let rows = {
             let store = data.store.read();
             keys.iter()
-                .map(|k| {
-                    store
-                        .read_at_versioned(k, self.serve_ts(ts))
-                        .map_err(|_| SpannerError::SnapshotTooOld)
-                })
-                .collect()
+                .map(|k| store.read(k, at))
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(|_| SpannerError::SnapshotTooOld)?
         };
-        if let Ok(rows) = &r {
-            for (k, v) in keys.iter().zip(rows) {
-                self.record_snapshot_read(table, k, ts, v.as_ref().map(|(b, _)| hash_bytes(b)));
-            }
-        }
-        r
+        let values = rows.iter().map(|row| row.as_ref().map(|(b, _)| b));
+        self.record_snapshot_reads(table, ts, keys.iter().zip(values));
+        Ok(rows)
     }
 
-    /// Transactional read (shared lock) returning the value and its commit
-    /// timestamp; sees buffered writes as having an unknown timestamp
-    /// (`None` versions are not reported — buffered values return the
-    /// current latest committed timestamp of zero).
-    pub fn txn_read_versioned(
-        &self,
-        txn: &mut ReadWriteTransaction,
-        table: TableName,
-        key: &Key,
-    ) -> SpannerResult<Option<(Bytes, Timestamp)>> {
-        if txn.closed {
-            return Err(SpannerError::TxnClosed(txn.id));
-        }
-        self.fence(txn)?;
-        let (tid, data) = self.table(table)?;
-        if let Some(buffered) = txn.buffered(tid, key) {
-            return Ok(buffered.map(|b| (b, Timestamp::ZERO)));
-        }
-        if let Err(e) = self.inner.locks.acquire(txn.id, tid, key, LockMode::Shared) {
-            self.abort(txn);
-            return Err(e);
-        }
-        txn.read_keys.push((tid, key.clone()));
-        let value = data.store.read().read_latest_versioned(key);
-        self.observe_txn_read(txn, tid, key, value.as_ref().map(|(b, _)| hash_bytes(b)));
-        Ok(value)
-    }
-
-    /// Transactional read with an *exclusive* lock returning value and
-    /// commit timestamp.
-    pub fn txn_read_for_update_versioned(
-        &self,
-        txn: &mut ReadWriteTransaction,
-        table: TableName,
-        key: &Key,
-    ) -> SpannerResult<Option<(Bytes, Timestamp)>> {
-        if txn.closed {
-            return Err(SpannerError::TxnClosed(txn.id));
-        }
-        self.fence(txn)?;
-        let (tid, data) = self.table(table)?;
-        if let Some(buffered) = txn.buffered(tid, key) {
-            return Ok(buffered.map(|b| (b, Timestamp::ZERO)));
-        }
-        if let Err(e) = self
-            .inner
-            .locks
-            .acquire(txn.id, tid, key, LockMode::Exclusive)
-        {
-            self.abort(txn);
-            return Err(e);
-        }
-        txn.read_keys.push((tid, key.clone()));
-        let value = data.store.read().read_latest_versioned(key);
-        self.observe_txn_read(txn, tid, key, value.as_ref().map(|(b, _)| hash_bytes(b)));
-        Ok(value)
-    }
-
-    /// Lock-free ordered scan of `range` at `ts` in reverse key order, up to
-    /// `limit` rows.
-    pub fn snapshot_scan_rev(
+    /// Lock-free ordered scan of up to `limit` rows of `range` at `ts`,
+    /// returning each row's value and the commit timestamp of the version
+    /// read. Reverse scans stream through a [`crate::RangeCursor`] over a
+    /// [`crate::SnapshotBackend`].
+    pub fn snapshot_scan(
         &self,
         table: TableName,
         range: &KeyRange,
         ts: Timestamp,
         limit: usize,
-    ) -> SpannerResult<Vec<(Key, Bytes)>> {
-        let (_, data) = self.table(table)?;
-        let r = data
-            .store
-            .read()
-            .scan_rev_at(range, self.serve_ts(ts), limit)
-            .map_err(|_| SpannerError::SnapshotTooOld);
-        if let Ok(rows) = &r {
-            for (k, v) in rows {
-                self.record_snapshot_read(table, k, ts, Some(hash_bytes(v)));
-            }
-        }
-        r
+    ) -> SpannerResult<Vec<(Key, Bytes, Timestamp)>> {
+        self.snapshot_scan_directed(table, range, ts, limit, false)
     }
 
-    /// Lock-free ordered scan returning `(key, value, version timestamp)`
-    /// triples at `ts`, optionally in reverse key order.
-    pub fn snapshot_scan_versioned(
+    /// The one snapshot scan, in key order or (`reverse`) from the top of
+    /// the range down: one consultation of the chaos layer at the
+    /// `snapshot-scan` site, then a single MVCC range scan.
+    pub(crate) fn snapshot_scan_directed(
         &self,
         table: TableName,
         range: &KeyRange,
@@ -1276,34 +1179,19 @@ impl SpannerDatabase {
         limit: usize,
         reverse: bool,
     ) -> SpannerResult<Vec<(Key, Bytes, Timestamp)>> {
-        let (_, data) = self.table(table)?;
-        let r = data
-            .store
-            .read()
-            .scan_at_versioned(range, self.serve_ts(ts), limit, reverse)
-            .map_err(|_| SpannerError::SnapshotTooOld);
-        if let Ok(rows) = &r {
-            for (k, v, _) in rows {
-                self.record_snapshot_read(table, k, ts, Some(hash_bytes(v)));
-            }
+        if self.inject(FaultKind::TabletUnavailable, "snapshot-scan") {
+            return Err(SpannerError::Unavailable(
+                "snapshot-scan: tablet unreachable",
+            ));
         }
-        r
-    }
-
-    /// Count live rows in `range` at `ts`.
-    pub fn snapshot_count(
-        &self,
-        table: TableName,
-        range: &KeyRange,
-        ts: Timestamp,
-    ) -> SpannerResult<usize> {
         let (_, data) = self.table(table)?;
-        let r = data
+        let rows = data
             .store
             .read()
-            .count_at(range, ts)
-            .map_err(|_| SpannerError::SnapshotTooOld);
-        r
+            .scan(range, self.serve_ts(ts), limit, reverse)
+            .map_err(|_| SpannerError::SnapshotTooOld)?;
+        self.record_snapshot_reads(table, ts, rows.iter().map(|(k, v, _)| (k, Some(v))));
+        Ok(rows)
     }
 
     /// Run maintenance: split overloaded tablets at their median keys and
@@ -1437,6 +1325,27 @@ mod tests {
         Bytes::copy_from_slice(s.as_bytes())
     }
 
+    /// The value of `key` at `ts`, without its version timestamp.
+    fn read(
+        db: &SpannerDatabase,
+        table: TableName,
+        key: &Key,
+        ts: Timestamp,
+    ) -> SpannerResult<Option<Bytes>> {
+        Ok(db.snapshot_read_versioned(table, key, ts)?.map(|(v, _)| v))
+    }
+
+    /// The value of `key` inside `txn` (shared lock), without its version.
+    fn txn_value(
+        db: &SpannerDatabase,
+        txn: &mut ReadWriteTransaction,
+        key: &str,
+    ) -> SpannerResult<Option<Bytes>> {
+        Ok(db
+            .txn_read_versioned(txn, T, &Key::from(key))?
+            .map(|(v, _)| v))
+    }
+
     #[test]
     fn basic_commit_and_snapshot_read() {
         let db = db();
@@ -1447,10 +1356,7 @@ mod tests {
         assert_eq!(info.mutation_count, 1);
         let ts = db.strong_read_ts();
         assert!(ts >= info.commit_ts);
-        assert_eq!(
-            db.snapshot_read(T, &Key::from("k"), ts).unwrap(),
-            Some(bytes("v"))
-        );
+        assert_eq!(read(&db, T, &Key::from("k"), ts).unwrap(), Some(bytes("v")));
     }
 
     #[test]
@@ -1458,12 +1364,9 @@ mod tests {
         let db = db();
         let mut txn = db.begin();
         db.txn_put(&mut txn, T, Key::from("k"), bytes("v")).unwrap();
-        assert_eq!(
-            db.txn_read(&mut txn, T, &Key::from("k")).unwrap(),
-            Some(bytes("v"))
-        );
+        assert_eq!(txn_value(&db, &mut txn, "k").unwrap(), Some(bytes("v")));
         db.txn_delete(&mut txn, T, Key::from("k")).unwrap();
-        assert_eq!(db.txn_read(&mut txn, T, &Key::from("k")).unwrap(), None);
+        assert_eq!(txn_value(&db, &mut txn, "k").unwrap(), None);
         db.abort(&mut txn);
     }
 
@@ -1472,9 +1375,10 @@ mod tests {
         let db = db();
         let mut t1 = db.begin();
         let mut t2 = db.begin();
-        db.txn_read_for_update(&mut t1, T, &Key::from("k")).unwrap();
+        db.txn_read_for_update_versioned(&mut t1, T, &Key::from("k"))
+            .unwrap();
         let err = db
-            .txn_read_for_update(&mut t2, T, &Key::from("k"))
+            .txn_read_for_update_versioned(&mut t2, T, &Key::from("k"))
             .unwrap_err();
         assert!(matches!(err, SpannerError::LockConflict { .. }));
         // t2 was auto-aborted; t1 can still commit.
@@ -1494,10 +1398,11 @@ mod tests {
 
         // A transaction holds an exclusive lock...
         let mut t2 = db.begin();
-        db.txn_read_for_update(&mut t2, T, &Key::from("k")).unwrap();
+        db.txn_read_for_update_versioned(&mut t2, T, &Key::from("k"))
+            .unwrap();
         // ...but timestamp reads sail through without blocking.
         assert_eq!(
-            db.snapshot_read(T, &Key::from("k"), ts).unwrap(),
+            read(&db, T, &Key::from("k"), ts).unwrap(),
             Some(bytes("v1"))
         );
         db.abort(&mut t2);
@@ -1521,6 +1426,53 @@ mod tests {
             2,
             "the later commit is invisible at the snapshot"
         );
+    }
+
+    #[test]
+    fn strong_read_waits_for_commits_assigned_below_it() {
+        let db = db();
+        db.create_table("Other");
+        // Commit A takes its timestamp, then stalls before applying: the
+        // test holds table T's tablet map, which the apply step locks.
+        let (_, data) = db.table(T).unwrap();
+        let stall = data.tablets.lock();
+        let a = {
+            let db = db.clone();
+            std::thread::spawn(move || {
+                let mut txn = db.begin();
+                db.txn_put(&mut txn, T, Key::from("a"), bytes("A")).unwrap();
+                db.commit(txn, Timestamp::ZERO, Timestamp::MAX).unwrap()
+            })
+        };
+        while db.inner.unapplied.lock().is_empty() {
+            std::thread::yield_now();
+        }
+        // Commit B, on another table, gets a later timestamp and completes.
+        let mut txn = db.begin();
+        db.txn_put(&mut txn, "Other", Key::from("b"), bytes("B"))
+            .unwrap();
+        let b = db.commit(txn, Timestamp::ZERO, Timestamp::MAX).unwrap();
+
+        // A strong read may neither miss the acknowledged B nor see B
+        // without A: it waits until A has applied.
+        let reader = {
+            let db = db.clone();
+            std::thread::spawn(move || db.strong_read_ts())
+        };
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert!(
+            !reader.is_finished(),
+            "strong read returned while a commit below it was unapplied"
+        );
+        drop(stall);
+        let ts = reader.join().unwrap();
+        let a = a.join().unwrap();
+        assert!(a.commit_ts < b.commit_ts && b.commit_ts <= ts);
+        assert_eq!(
+            read(&db, "Other", &Key::from("b"), ts).unwrap(),
+            Some(bytes("B"))
+        );
+        assert_eq!(read(&db, T, &Key::from("a"), ts).unwrap(), Some(bytes("A")));
     }
 
     #[test]
@@ -1557,8 +1509,7 @@ mod tests {
         );
         // The write is not visible.
         assert_eq!(
-            db.snapshot_read(T, &Key::from("k"), db.strong_read_ts())
-                .unwrap(),
+            read(&db, T, &Key::from("k"), db.strong_read_ts()).unwrap(),
             None
         );
     }
@@ -1575,12 +1526,11 @@ mod tests {
         let info = db.commit(txn, Timestamp::ZERO, Timestamp::MAX).unwrap();
         let ts = db.strong_read_ts();
         assert_eq!(
-            db.snapshot_read(T, &Key::from("doc"), ts).unwrap(),
+            read(&db, T, &Key::from("doc"), ts).unwrap(),
             Some(bytes("d"))
         );
         assert_eq!(
-            db.snapshot_read("IndexEntries", &Key::from("idx"), ts)
-                .unwrap(),
+            read(&db, "IndexEntries", &Key::from("idx"), ts).unwrap(),
             Some(bytes(""))
         );
         // Both rows currently live in single tablets of separate tables.
@@ -1666,8 +1616,7 @@ mod tests {
             .unwrap();
         db.commit(txn, Timestamp::ZERO, Timestamp::MAX).unwrap();
         assert_eq!(
-            db.snapshot_read(T, &Key::from("k"), db.strong_read_ts())
-                .unwrap(),
+            read(&db, T, &Key::from("k"), db.strong_read_ts()).unwrap(),
             Some(bytes("v2"))
         );
     }
@@ -1680,12 +1629,14 @@ mod tests {
         db.commit(t0, Timestamp::ZERO, Timestamp::MAX).unwrap();
 
         let mut reader = db.begin();
-        let rows = db.txn_scan(&mut reader, T, &KeyRange::all(), 100).unwrap();
+        let rows = db
+            .txn_scan(&mut reader, T, &KeyRange::all(), 100, false)
+            .unwrap();
         assert_eq!(rows.len(), 1);
         // A writer now conflicts on the scanned row.
         let mut writer = db.begin();
         assert!(db
-            .txn_read_for_update(&mut writer, T, &Key::from("a"))
+            .txn_read_for_update_versioned(&mut writer, T, &Key::from("a"))
             .is_err());
         db.abort(&mut reader);
     }
@@ -1703,21 +1654,15 @@ mod tests {
         db.crash();
         assert!(db.crashed());
         assert!(matches!(
-            db.snapshot_read(T, &Key::from("a"), Timestamp::MAX),
+            read(&db, T, &Key::from("a"), Timestamp::MAX),
             Err(SpannerError::Unavailable(_))
         ));
         let report = db.recover();
         assert_eq!(report.replayed_txns, 2);
         assert_eq!(report.replayed_mutations, 2);
         let ts = db.strong_read_ts();
-        assert_eq!(
-            db.snapshot_read(T, &Key::from("a"), ts).unwrap(),
-            Some(bytes("1"))
-        );
-        assert_eq!(
-            db.snapshot_read(T, &Key::from("b"), ts).unwrap(),
-            Some(bytes("2"))
-        );
+        assert_eq!(read(&db, T, &Key::from("a"), ts).unwrap(), Some(bytes("1")));
+        assert_eq!(read(&db, T, &Key::from("b"), ts).unwrap(), Some(bytes("2")));
     }
 
     #[test]
@@ -1730,8 +1675,7 @@ mod tests {
         let report = db.recover();
         assert_eq!(report.replayed_txns, 0);
         assert_eq!(
-            db.snapshot_read(T, &Key::from("k"), db.strong_read_ts())
-                .unwrap(),
+            read(&db, T, &Key::from("k"), db.strong_read_ts()).unwrap(),
             None
         );
     }
@@ -1754,8 +1698,7 @@ mod tests {
         let report = db.recover();
         assert_eq!(report.replayed_txns, 1, "outcome was durable: replay wins");
         assert_eq!(
-            db.snapshot_read(T, &Key::from("k"), db.strong_read_ts())
-                .unwrap(),
+            read(&db, T, &Key::from("k"), db.strong_read_ts()).unwrap(),
             Some(bytes("v"))
         );
     }
@@ -1778,8 +1721,7 @@ mod tests {
         assert_eq!(report.replayed_txns, 0);
         assert_eq!(report.discarded_prepares, 1, "no outcome: prepare dropped");
         assert_eq!(
-            db.snapshot_read(T, &Key::from("k"), db.strong_read_ts())
-                .unwrap(),
+            read(&db, T, &Key::from("k"), db.strong_read_ts()).unwrap(),
             None
         );
     }
@@ -1803,8 +1745,8 @@ mod tests {
         let report = db.recover();
         assert_eq!(report.replayed_txns, 0, "undecided 2PC resolves to abort");
         let ts = db.strong_read_ts();
-        assert_eq!(db.snapshot_read(T, &Key::from("a"), ts).unwrap(), None);
-        assert_eq!(db.snapshot_read(T, &Key::from("z"), ts).unwrap(), None);
+        assert_eq!(read(&db, T, &Key::from("a"), ts).unwrap(), None);
+        assert_eq!(read(&db, T, &Key::from("z"), ts).unwrap(), None);
     }
 
     #[test]
@@ -1846,8 +1788,7 @@ mod tests {
         // Nothing applied, no lock left behind, and a retry with a fresh
         // injector-free disk state succeeds.
         assert_eq!(
-            db.snapshot_read(T, &Key::from("k"), db.strong_read_ts())
-                .unwrap(),
+            read(&db, T, &Key::from("k"), db.strong_read_ts()).unwrap(),
             None
         );
         disk.set_fault_injector(None);
@@ -1899,12 +1840,12 @@ mod tests {
         db.recover();
         let ts = db.strong_read_ts();
         assert_eq!(
-            db.snapshot_read(T, &Key::from("poison"), ts).unwrap(),
+            read(&db, T, &Key::from("poison"), ts).unwrap(),
             None,
             "aborted txn must not become durable via a later commit's fsync"
         );
         assert_eq!(
-            db.snapshot_read(T, &Key::from("other"), ts).unwrap(),
+            read(&db, T, &Key::from("other"), ts).unwrap(),
             Some(bytes("v2"))
         );
     }
@@ -1922,7 +1863,7 @@ mod tests {
 
         let mut txn = db.begin();
         assert_eq!(
-            db.txn_read(&mut txn, T, &Key::from("k")).unwrap_err(),
+            txn_value(&db, &mut txn, "k").unwrap_err(),
             SpannerError::Unavailable("txn-read: tablet unreachable")
         );
         let mut txn = db.begin();
@@ -1931,9 +1872,7 @@ mod tests {
             db.commit(txn, Timestamp::ZERO, Timestamp::MAX).unwrap_err(),
             SpannerError::Unavailable("commit: tablet unreachable")
         );
-        assert!(db
-            .snapshot_read(T, &Key::from("k"), db.strong_read_ts())
-            .is_err());
+        assert!(read(&db, T, &Key::from("k"), db.strong_read_ts()).is_err());
 
         // Clearing the injector restores normal behaviour.
         db.set_fault_injector(None);

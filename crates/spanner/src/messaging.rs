@@ -92,7 +92,7 @@ impl MessageQueue {
             .snapshot_scan(MESSAGES_TABLE, &Self::topic_range(topic), ts, limit)?;
         Ok(rows
             .into_iter()
-            .map(|(key, payload)| QueuedMessage { key, payload })
+            .map(|(key, payload, _)| QueuedMessage { key, payload })
             .collect())
     }
 
@@ -225,7 +225,7 @@ mod tests {
         assert!(db.commit(txn, Timestamp::ZERO, Timestamp::MAX).is_err());
         // Neither the row nor the message is visible.
         assert_eq!(
-            db.snapshot_read("Entities", &Key::from("doc"), db.strong_read_ts())
+            db.snapshot_read_versioned("Entities", &Key::from("doc"), db.strong_read_ts())
                 .unwrap(),
             None
         );

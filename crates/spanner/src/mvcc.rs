@@ -40,16 +40,11 @@ impl VersionChain {
         self.versions.push(Version { ts, value });
     }
 
-    /// The newest version at or below `ts`.
+    /// The newest version at or below `ts` (`Timestamp::MAX`: the newest).
     pub fn read_at(&self, ts: Timestamp) -> Option<&Version> {
         // Version chains are short (GC keeps them trimmed); scan from the
         // newest end.
         self.versions.iter().rev().find(|v| v.ts <= ts)
-    }
-
-    /// The newest version regardless of timestamp.
-    pub fn latest(&self) -> Option<&Version> {
-        self.versions.last()
     }
 
     /// Drop versions strictly older than the newest one at or below
@@ -65,16 +60,6 @@ impl VersionChain {
             None => return,
         };
         self.versions.drain(..keep_from);
-    }
-
-    /// Number of stored versions.
-    pub fn len(&self) -> usize {
-        self.versions.len()
-    }
-
-    /// Whether the chain has no versions.
-    pub fn is_empty(&self) -> bool {
-        self.versions.is_empty()
     }
 
     /// Whether the chain is entirely tombstoned at its head and can be
@@ -103,38 +88,11 @@ impl MvccStore {
         self.cells.entry(key).or_default().push(ts, value);
     }
 
-    /// Read the value of `key` at `ts`. Tombstones and absent keys both
-    /// return `Ok(None)`; reading below the GC horizon is an error.
-    pub fn read_at(&self, key: &Key, ts: Timestamp) -> Result<Option<Bytes>, SnapshotTooOld> {
-        if ts < self.gc_horizon {
-            return Err(SnapshotTooOld);
-        }
-        Ok(self
-            .cells
-            .get(key)
-            .and_then(|chain| chain.read_at(ts))
-            .and_then(|v| v.value.clone()))
-    }
-
-    /// Read the latest committed value of `key`.
-    pub fn read_latest(&self, key: &Key) -> Option<Bytes> {
-        self.cells
-            .get(key)
-            .and_then(|c| c.latest())
-            .and_then(|v| v.value.clone())
-    }
-
-    /// Read the latest committed value together with its commit timestamp.
-    pub fn read_latest_versioned(&self, key: &Key) -> Option<(Bytes, Timestamp)> {
-        self.cells
-            .get(key)
-            .and_then(|c| c.latest())
-            .and_then(|v| v.value.clone().map(|b| (b, v.ts)))
-    }
-
-    /// Read the value of `key` at `ts` together with the commit timestamp of
-    /// the version read.
-    pub fn read_at_versioned(
+    /// Read `key` as of `ts`: the value of the newest version at or below
+    /// `ts` together with that version's commit timestamp. Tombstones and
+    /// absent keys both return `Ok(None)`; reading below the GC horizon is
+    /// an error. `Timestamp::MAX` reads the latest committed version.
+    pub fn read(
         &self,
         key: &Key,
         ts: Timestamp,
@@ -142,90 +100,14 @@ impl MvccStore {
         if ts < self.gc_horizon {
             return Err(SnapshotTooOld);
         }
-        Ok(self
-            .cells
-            .get(key)
-            .and_then(|chain| chain.read_at(ts))
-            .and_then(|v| v.value.clone().map(|b| (b, v.ts))))
-    }
-
-    /// The commit timestamp of the newest version of `key`, if any version
-    /// (including tombstones) exists.
-    pub fn latest_version_ts(&self, key: &Key) -> Option<Timestamp> {
-        self.cells.get(key).and_then(|c| c.latest()).map(|v| v.ts)
-    }
-
-    /// Scan live `(key, value)` pairs in `range` as of `ts`, in key order,
-    /// up to `limit` results.
-    pub fn scan_at(
-        &self,
-        range: &KeyRange,
-        ts: Timestamp,
-        limit: usize,
-    ) -> Result<Vec<(Key, Bytes)>, SnapshotTooOld> {
-        if ts < self.gc_horizon {
-            return Err(SnapshotTooOld);
-        }
-        if range.is_empty() {
-            return Ok(Vec::new());
-        }
-        let lower = Bound::Included(range.start.clone());
-        let upper = match &range.end {
-            Some(end) => Bound::Excluded(end.clone()),
-            None => Bound::Unbounded,
-        };
-        let mut out = Vec::new();
-        for (k, chain) in self.cells.range((lower, upper)) {
-            if out.len() >= limit {
-                break;
-            }
-            if let Some(v) = chain.read_at(ts) {
-                if let Some(bytes) = &v.value {
-                    out.push((k.clone(), bytes.clone()));
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Scan live `(key, value)` pairs in `range` as of `ts`, in *reverse*
-    /// key order, up to `limit` results. Serves descending index scans.
-    pub fn scan_rev_at(
-        &self,
-        range: &KeyRange,
-        ts: Timestamp,
-        limit: usize,
-    ) -> Result<Vec<(Key, Bytes)>, SnapshotTooOld> {
-        if ts < self.gc_horizon {
-            return Err(SnapshotTooOld);
-        }
-        if range.is_empty() {
-            return Ok(Vec::new());
-        }
-        let lower = Bound::Included(range.start.clone());
-        let upper = match &range.end {
-            Some(end) => Bound::Excluded(end.clone()),
-            None => Bound::Unbounded,
-        };
-        let mut out = Vec::new();
-        for (k, chain) in self.cells.range((lower, upper)).rev() {
-            if out.len() >= limit {
-                break;
-            }
-            if let Some(v) = chain.read_at(ts) {
-                if let Some(bytes) = &v.value {
-                    out.push((k.clone(), bytes.clone()));
-                }
-            }
-        }
-        Ok(out)
+        Ok(self.cells.get(key).and_then(|chain| live_at(chain, ts)))
     }
 
     /// Scan live `(key, value, version timestamp)` triples in `range` as of
-    /// `ts`, in key order (or reverse), up to `limit` results. The version
-    /// timestamp is the commit time of the version read — callers derive
-    /// document `update_time` from it.
-    pub fn scan_at_versioned(
+    /// `ts`, in key order (reverse key order when `reverse`), up to `limit`
+    /// results. The version timestamp is the commit time of the version
+    /// read — callers derive document `update_time` from it.
+    pub fn scan(
         &self,
         range: &KeyRange,
         ts: Timestamp,
@@ -238,43 +120,15 @@ impl MvccStore {
         if range.is_empty() {
             return Ok(Vec::new());
         }
-        let lower = Bound::Included(range.start.clone());
-        let upper = match &range.end {
-            Some(end) => Bound::Excluded(end.clone()),
-            None => Bound::Unbounded,
+        let cells = self.cells.range(bounds(range));
+        let live = |(k, chain): (&Key, &VersionChain)| {
+            live_at(chain, ts).map(|(value, version)| (k.clone(), value, version))
         };
-        let mut out = Vec::new();
-        let iter = self.cells.range((lower, upper));
-        let mut push = |k: &Key, chain: &VersionChain| {
-            if out.len() >= limit {
-                return false;
-            }
-            if let Some(v) = chain.read_at(ts) {
-                if let Some(bytes) = &v.value {
-                    out.push((k.clone(), bytes.clone(), v.ts));
-                }
-            }
-            true
-        };
-        if reverse {
-            for (k, chain) in iter.rev() {
-                if !push(k, chain) {
-                    break;
-                }
-            }
+        Ok(if reverse {
+            cells.rev().filter_map(live).take(limit).collect()
         } else {
-            for (k, chain) in iter {
-                if !push(k, chain) {
-                    break;
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Count live keys in `range` at `ts` (no limit).
-    pub fn count_at(&self, range: &KeyRange, ts: Timestamp) -> Result<usize, SnapshotTooOld> {
-        self.scan_at(range, ts, usize::MAX).map(|v| v.len())
+            cells.filter_map(live).take(limit).collect()
+        })
     }
 
     /// Garbage-collect versions older than `before`, retaining the newest
@@ -291,7 +145,7 @@ impl MvccStore {
     pub fn live_keys(&self) -> usize {
         self.cells
             .values()
-            .filter(|c| c.latest().is_some_and(|v| v.value.is_some()))
+            .filter(|c| c.read_at(Timestamp::MAX).is_some_and(|v| v.value.is_some()))
             .count()
     }
 
@@ -299,11 +153,7 @@ impl MvccStore {
     pub fn live_bytes(&self) -> usize {
         self.cells
             .iter()
-            .filter_map(|(k, c)| {
-                c.latest()
-                    .and_then(|v| v.value.as_ref())
-                    .map(|val| k.len() + val.len())
-            })
+            .filter_map(|(k, c)| Some(k.len() + c.read_at(Timestamp::MAX)?.value.as_ref()?.len()))
             .sum()
     }
 
@@ -312,17 +162,28 @@ impl MvccStore {
         if range.is_empty() {
             return None;
         }
-        let lower = Bound::Included(range.start.clone());
-        let upper = match &range.end {
-            Some(end) => Bound::Excluded(end.clone()),
-            None => Bound::Unbounded,
-        };
-        let keys: Vec<&Key> = self.cells.range((lower, upper)).map(|(k, _)| k).collect();
+        let keys: Vec<&Key> = self.cells.range(bounds(range)).map(|(k, _)| k).collect();
         if keys.len() < 2 {
             return None;
         }
         Some(keys[keys.len() / 2].clone())
     }
+}
+
+/// The live value of `chain` as of `ts` and its version timestamp.
+fn live_at(chain: &VersionChain, ts: Timestamp) -> Option<(Bytes, Timestamp)> {
+    chain
+        .read_at(ts)
+        .and_then(|v| v.value.clone().map(|value| (value, v.ts)))
+}
+
+/// `range` as `BTreeMap` range bounds.
+fn bounds(range: &KeyRange) -> (Bound<Key>, Bound<Key>) {
+    let upper = match &range.end {
+        Some(end) => Bound::Excluded(end.clone()),
+        None => Bound::Unbounded,
+    };
+    (Bound::Included(range.start.clone()), upper)
 }
 
 /// Error: the requested snapshot predates the GC horizon.
@@ -341,16 +202,27 @@ mod tests {
         Bytes::copy_from_slice(s.as_bytes())
     }
 
+    /// The value of `key` at `at`, without its version timestamp.
+    fn value(s: &MvccStore, key: &str, at: Timestamp) -> Result<Option<Bytes>, SnapshotTooOld> {
+        s.read(&Key::from(key), at).map(|row| row.map(|(v, _)| v))
+    }
+
     #[test]
     fn read_at_sees_version_at_or_below() {
         let mut s = MvccStore::new();
         s.apply(Key::from("k"), ts(10), Some(b("v1")));
         s.apply(Key::from("k"), ts(20), Some(b("v2")));
-        assert_eq!(s.read_at(&Key::from("k"), ts(5)).unwrap(), None);
-        assert_eq!(s.read_at(&Key::from("k"), ts(10)).unwrap(), Some(b("v1")));
-        assert_eq!(s.read_at(&Key::from("k"), ts(15)).unwrap(), Some(b("v1")));
-        assert_eq!(s.read_at(&Key::from("k"), ts(20)).unwrap(), Some(b("v2")));
-        assert_eq!(s.read_at(&Key::from("k"), ts(99)).unwrap(), Some(b("v2")));
+        assert_eq!(value(&s, "k", ts(5)).unwrap(), None);
+        assert_eq!(value(&s, "k", ts(10)).unwrap(), Some(b("v1")));
+        assert_eq!(
+            s.read(&Key::from("k"), ts(15)).unwrap(),
+            Some((b("v1"), ts(10)))
+        );
+        assert_eq!(value(&s, "k", ts(20)).unwrap(), Some(b("v2")));
+        assert_eq!(
+            s.read(&Key::from("k"), Timestamp::MAX).unwrap(),
+            Some((b("v2"), ts(20)))
+        );
     }
 
     #[test]
@@ -358,10 +230,9 @@ mod tests {
         let mut s = MvccStore::new();
         s.apply(Key::from("k"), ts(10), Some(b("v1")));
         s.apply(Key::from("k"), ts(20), None);
-        assert_eq!(s.read_at(&Key::from("k"), ts(15)).unwrap(), Some(b("v1")));
-        assert_eq!(s.read_at(&Key::from("k"), ts(25)).unwrap(), None);
-        assert_eq!(s.read_latest(&Key::from("k")), None);
-        assert_eq!(s.latest_version_ts(&Key::from("k")), Some(ts(20)));
+        assert_eq!(value(&s, "k", ts(15)).unwrap(), Some(b("v1")));
+        assert_eq!(value(&s, "k", ts(25)).unwrap(), None);
+        assert_eq!(value(&s, "k", Timestamp::MAX).unwrap(), None);
     }
 
     #[test]
@@ -369,9 +240,9 @@ mod tests {
         let mut s = MvccStore::new();
         s.apply(Key::from("k"), ts(10), Some(b("old")));
         let snapshot = ts(15);
-        let before = s.read_at(&Key::from("k"), snapshot).unwrap();
+        let before = s.read(&Key::from("k"), snapshot).unwrap();
         s.apply(Key::from("k"), ts(20), Some(b("new")));
-        let after = s.read_at(&Key::from("k"), snapshot).unwrap();
+        let after = s.read(&Key::from("k"), snapshot).unwrap();
         assert_eq!(before, after);
     }
 
@@ -382,12 +253,16 @@ mod tests {
             s.apply(Key::from(*name), ts(10 + i as u64), Some(b(name)));
         }
         let r = KeyRange::new(Key::from("b"), Some(Key::from("d")));
-        let got = s.scan_at(&r, ts(100), 10).unwrap();
+        let got = s.scan(&r, ts(100), 10, false).unwrap();
         assert_eq!(got.len(), 2);
-        assert_eq!(got[0].0, Key::from("b"));
+        assert_eq!(got[0], (Key::from("b"), b("b"), ts(11)));
         assert_eq!(got[1].0, Key::from("c"));
-        let limited = s.scan_at(&KeyRange::all(), ts(100), 2).unwrap();
+        let limited = s.scan(&KeyRange::all(), ts(100), 2, false).unwrap();
         assert_eq!(limited.len(), 2);
+        // Reverse: the top of the range first, the same limit.
+        let rev = s.scan(&KeyRange::all(), ts(100), 2, true).unwrap();
+        assert_eq!(rev[0].0, Key::from("d"));
+        assert_eq!(rev[1].0, Key::from("c"));
     }
 
     #[test]
@@ -395,7 +270,7 @@ mod tests {
         let mut s = MvccStore::new();
         s.apply(Key::from("a"), ts(10), Some(b("a")));
         s.apply(Key::from("b"), ts(30), Some(b("b")));
-        let got = s.scan_at(&KeyRange::all(), ts(20), 10).unwrap();
+        let got = s.scan(&KeyRange::all(), ts(20), 10, false).unwrap();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].0, Key::from("a"));
     }
@@ -408,9 +283,13 @@ mod tests {
         s.apply(Key::from("k"), ts(30), Some(b("v3")));
         s.gc(ts(25));
         // Reads at the horizon still see v2.
-        assert_eq!(s.read_at(&Key::from("k"), ts(25)).unwrap(), Some(b("v2")));
-        // Reads below the horizon fail.
-        assert_eq!(s.read_at(&Key::from("k"), ts(15)), Err(SnapshotTooOld));
+        assert_eq!(value(&s, "k", ts(25)).unwrap(), Some(b("v2")));
+        // Reads and scans below the horizon fail.
+        assert_eq!(value(&s, "k", ts(15)), Err(SnapshotTooOld));
+        assert_eq!(
+            s.scan(&KeyRange::all(), ts(15), 1, true),
+            Err(SnapshotTooOld)
+        );
     }
 
     #[test]
@@ -420,7 +299,7 @@ mod tests {
         s.apply(Key::from("k"), ts(20), None);
         s.gc(ts(30));
         assert_eq!(s.live_keys(), 0);
-        assert_eq!(s.read_at(&Key::from("k"), ts(40)).unwrap(), None);
+        assert_eq!(value(&s, "k", ts(40)).unwrap(), None);
     }
 
     #[test]
@@ -450,7 +329,7 @@ mod tests {
         c.push(ts(1), Some(b("a")));
         c.push(ts(2), Some(b("b")));
         c.gc(ts(100));
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.latest().unwrap().value, Some(b("b")));
+        assert_eq!(c.read_at(ts(1)), None, "the older version is gone");
+        assert_eq!(c.read_at(Timestamp::MAX).unwrap().value, Some(b("b")));
     }
 }

@@ -6,7 +6,7 @@
 //! "Spanner acquires additional exclusive locks on the specific IndexEntries
 //! rows"). Dropping an uncommitted transaction releases its locks.
 
-use crate::key::{Key, KeyRange};
+use crate::key::Key;
 use bytes::Bytes;
 use std::fmt;
 
@@ -38,11 +38,6 @@ pub struct ReadWriteTransaction {
     pub(crate) id: TxnId,
     pub(crate) mutations: Vec<Mutation>,
     pub(crate) closed: bool,
-    /// Keys read under shared lock, for accounting.
-    pub(crate) read_keys: Vec<(u32, Key)>,
-    /// Key ranges scanned under this transaction (used for conflict-surface
-    /// accounting and tests).
-    pub(crate) scanned_ranges: Vec<(u32, KeyRange)>,
     /// `(table, key, value-hash)` observations made under shared lock, kept
     /// only while a history recorder is attached (consistency oracle).
     pub(crate) observed_reads: Vec<(u32, Key, Option<u64>)>,
@@ -64,8 +59,6 @@ impl ReadWriteTransaction {
             id,
             mutations: Vec::new(),
             closed: false,
-            read_keys: Vec::new(),
-            scanned_ranges: Vec::new(),
             observed_reads: Vec::new(),
         }
     }

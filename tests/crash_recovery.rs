@@ -248,7 +248,7 @@ fn verify_durability(db: &FirestoreDatabase, model: &Model, ambiguous_names: &BT
         .snapshot_scan(ENTITIES, &db.directory().range(), ts, usize::MAX)
         .unwrap();
     let mut present: BTreeMap<String, Fields> = BTreeMap::new();
-    for (key, bytes) in rows {
+    for (key, bytes, _) in rows {
         let name = firestore_core::DocumentName::decode(&key.as_slice()[4..]).unwrap();
         let d = Document::decode(name.clone(), &bytes).unwrap();
         present.insert(name.to_string(), fields_of(&d));
@@ -320,7 +320,7 @@ fn verify_index_consistency(db: &FirestoreDatabase, context: &str) {
         .snapshot_scan(ENTITIES, &dir.range(), ts, usize::MAX)
         .unwrap();
     let mut expected: BTreeSet<Vec<u8>> = BTreeSet::new();
-    for (key, bytes) in rows {
+    for (key, bytes, _) in rows {
         let name = firestore_core::DocumentName::decode(&key.as_slice()[4..]).unwrap();
         let d = Document::decode(name, &bytes).unwrap();
         let keys = db.with_catalog(|c| entries_for_document(c, dir, &d, &[IndexState::Ready]));
@@ -332,7 +332,7 @@ fn verify_index_consistency(db: &FirestoreDatabase, context: &str) {
         .snapshot_scan(INDEX_ENTRIES, &KeyRange::all(), ts, usize::MAX)
         .unwrap()
         .into_iter()
-        .map(|(k, _)| k.as_slice().to_vec())
+        .map(|(k, _, _)| k.as_slice().to_vec())
         .collect();
     assert_eq!(actual, expected, "Entities↔IndexEntries diverged ({context})");
 }

@@ -856,3 +856,142 @@ fn message_drops_during_replay_do_not_lose_trigger_messages() {
     let n = TriggerExecutor::drain(db.queue(), tid, 10, |_| {}).unwrap();
     assert_eq!(n, 0, "no duplicate deliveries");
 }
+
+/// Every read path consults the chaos layer: under a certain
+/// `TabletUnavailable` plan, point reads, transactional reads, transactional
+/// descending queries and COUNTs in either direction all fail with a
+/// retriable `Unavailable` rather than bypassing the fault.
+#[test]
+fn tablet_unavailability_reaches_every_read_path() {
+    use firestore_core::Direction;
+    use simkit::fault::{FaultInjector, FaultKind, FaultPlan, FaultRule};
+
+    let (db, _) = setup();
+    for i in 0..3i64 {
+        db.commit_writes(
+            vec![Write::set(doc(&format!("/c/d{i}")), [("v", Value::Int(i))])],
+            &Caller::Service,
+        )
+        .unwrap();
+    }
+    let plan = FaultPlan::new(1).rule(FaultRule::probabilistic(FaultKind::TabletUnavailable, 1.0));
+    let clock = db.spanner().truetime().clock().clone();
+    db.spanner()
+        .set_fault_injector(Some(FaultInjector::new(clock, plan)));
+
+    let forward = Query::parse("/c").unwrap().order_by("v", Direction::Asc);
+    let descending = Query::parse("/c").unwrap().order_by("v", Direction::Desc);
+    let name = doc("/c/d0");
+    let outcomes = [
+        (
+            "get_document",
+            db.get_document(&name, Consistency::Strong, &Caller::Service)
+                .err(),
+        ),
+        ("transaction get", db.begin_transaction().get(&name).err()),
+        (
+            "transactional descending query",
+            db.begin_transaction().query(&descending).err(),
+        ),
+        (
+            "forward count",
+            db.run_count(&forward, Consistency::Strong, &Caller::Service)
+                .err(),
+        ),
+        (
+            "descending count",
+            db.run_count(&descending, Consistency::Strong, &Caller::Service)
+                .err(),
+        ),
+    ];
+    for (read, err) in outcomes {
+        match err {
+            Some(e @ FirestoreError::Unavailable(_)) => assert!(e.is_retriable(), "{read}"),
+            other => panic!("{read}: expected a retriable Unavailable, got {other:?}"),
+        }
+    }
+}
+
+/// A rules `exists()` lookup that fails must fail the request closed: a
+/// banned user's query is refused with the retriable storage error instead
+/// of the failed ban-list read counting as "not banned".
+#[test]
+fn failed_rules_lookup_refuses_instead_of_granting() {
+    use simkit::fault::{FaultInjector, FaultKind, FaultPlan, FaultRule};
+    use simkit::SimRng;
+
+    let (db, _) = setup();
+    db.set_rules(
+        r#"
+        service cloud.firestore {
+          match /databases/{db}/documents {
+            match /posts/{post} {
+              allow read: if !exists(/databases/$(db)/documents/bans/$(request.auth.uid));
+            }
+          }
+        }
+        "#,
+    )
+    .unwrap();
+    db.commit_writes(
+        vec![
+            Write::set(doc("/posts/p"), [("v", Value::Int(1))]),
+            Write::set(doc("/bans/mallory"), [("why", Value::from("spam"))]),
+        ],
+        &Caller::Service,
+    )
+    .unwrap();
+    let posts = Query::parse("/posts").unwrap();
+    let mallory = Caller::EndUser(Some(AuthContext::uid("mallory")));
+    let alice = Caller::EndUser(Some(AuthContext::uid("alice")));
+    assert!(matches!(
+        db.run_query(&posts, Consistency::Strong, &mallory),
+        Err(FirestoreError::PermissionDenied(_))
+    ));
+    assert_eq!(
+        db.run_query(&posts, Consistency::Strong, &alice)
+            .unwrap()
+            .documents
+            .len(),
+        1
+    );
+
+    // The query consults the chaos layer for its scan, then its document
+    // fetch, then once per rules lookup (twice in debug builds, where the
+    // interpreter cross-checks the compiled tree). Pick the seed whose scan
+    // and fetch pass and whose lookups fail.
+    let p = 0.5;
+    let seed = (0u64..)
+        .find(|&s| {
+            let mut r = SimRng::new(s);
+            r.next_f64() >= p && r.next_f64() >= p && r.next_f64() < p && r.next_f64() < p
+        })
+        .unwrap();
+    let plan = FaultPlan::new(seed).rule(FaultRule::probabilistic(FaultKind::TabletUnavailable, p));
+    let clock = db.spanner().truetime().clock().clone();
+
+    // Under the same seed, the service's query (no rules lookup) proves
+    // that the scan and the fetch pass.
+    let service = FaultInjector::new(clock.clone(), plan.clone());
+    db.spanner().set_fault_injector(Some(service.clone()));
+    let served = db.run_query(&posts, Consistency::Strong, &Caller::Service);
+    assert_eq!(served.unwrap().documents.len(), 1);
+    assert_eq!(service.stats().injected, 0, "scan and fetch must pass");
+    let scan_and_fetch = service.stats().checked;
+
+    let injector = FaultInjector::new(clock, plan);
+    db.spanner().set_fault_injector(Some(injector.clone()));
+    let refused = db.run_query(&posts, Consistency::Strong, &mallory);
+    db.spanner().set_fault_injector(None);
+    match refused {
+        Err(e @ FirestoreError::Unavailable(_)) => assert!(e.is_retriable()),
+        other => panic!("a failed ban-list lookup must refuse the read, got {other:?}"),
+    }
+    // The same decision stream passed the first `scan_and_fetch`
+    // consultations, so the fault fired at the rules lookup after them.
+    let stats = injector.stats();
+    assert!(
+        stats.injected >= 1 && stats.checked > scan_and_fetch,
+        "{stats:?}"
+    );
+}

@@ -9,6 +9,7 @@ use firestore_core::{
 };
 use rules::AuthContext;
 use server::{FirestoreService, ServiceOptions};
+use simkit::history::{HistoryEvent, HistoryRecorder};
 use simkit::{Duration, SimClock};
 
 const OPEN_RULES: &str = r#"
@@ -311,6 +312,35 @@ fn snapshot_reads_do_not_block_under_write_load() {
         assert!(got.is_some());
     }
     txn.abort();
+}
+
+#[test]
+fn refused_count_reads_no_index_entry() {
+    let svc = service();
+    let db = svc.create_database("app");
+    for i in 0..5 {
+        db.commit_writes(
+            vec![Write::set(doc(&format!("/c/d{i}")), [("v", Value::Int(i))])],
+            &Caller::Service,
+        )
+        .unwrap();
+    }
+    let history = HistoryRecorder::new();
+    db.spanner().set_history(Some(history.clone()));
+    // No rules are installed, so a third party may not list `/c`.
+    let user = Caller::EndUser(Some(AuthContext::uid("u")));
+    let q = Query::parse("/c").unwrap();
+    assert!(matches!(
+        db.run_count(&q, Consistency::Strong, &user),
+        Err(FirestoreError::PermissionDenied(_))
+    ));
+    assert!(
+        !history
+            .events()
+            .iter()
+            .any(|r| matches!(r.event, HistoryEvent::SnapshotRead { .. })),
+        "a COUNT without list permission must be refused before any scan"
+    );
 }
 
 #[test]

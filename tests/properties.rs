@@ -260,7 +260,7 @@ proptest! {
         // Recompute expected entries from every live document.
         let rows = spanner.snapshot_scan(ENTITIES, &dir.range(), ts, usize::MAX).unwrap();
         let mut expected: BTreeSet<Vec<u8>> = BTreeSet::new();
-        for (key, bytes) in rows {
+        for (key, bytes, _) in rows {
             let name = firestore_core::DocumentName::decode(&key.as_slice()[4..]).unwrap();
             let d = Document::decode(name, &bytes).unwrap();
             let keys = db.with_catalog(|c| {
@@ -274,7 +274,7 @@ proptest! {
             .snapshot_scan(INDEX_ENTRIES, &KeyRange::all(), ts, usize::MAX)
             .unwrap()
             .into_iter()
-            .map(|(k, _)| k.as_slice().to_vec())
+            .map(|(k, _, _)| k.as_slice().to_vec())
             .collect();
         prop_assert_eq!(actual, expected);
     }
@@ -304,7 +304,7 @@ proptest! {
                 .unwrap();
             let mut expected: Vec<(Vec<u8>, String)> = rows
                 .into_iter()
-                .filter_map(|(key, bytes)| {
+                .filter_map(|(key, bytes, _)| {
                     let name = firestore_core::DocumentName::decode(&key.as_slice()[4..])?;
                     let d = Document::decode(name, &bytes)?;
                     if matches_document(&q, &d) {
