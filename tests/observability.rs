@@ -596,3 +596,138 @@ fn explain_golden_plan_shapes() {
     assert!(text.contains("auto c.a"), "{text}");
     assert!(text.contains("auto c.z"), "{text}");
 }
+
+// --- golden trace and metrics ------------------------------------------------
+
+/// A small fixed-seed service run touching every request kind: a rules
+/// deploy, commits (with redo durability), a get, a query, a COUNT, a
+/// listener fed by the Real-time Cache, an interactive transaction, a
+/// client flush that retries through a fault window, and a maintenance
+/// tick. Returns the rendered trace and the JSON metrics snapshot.
+fn golden_run() -> (String, String) {
+    let clock = SimClock::new();
+    clock.advance(Duration::from_secs(1));
+    let svc = FirestoreService::new(
+        clock.clone(),
+        ServiceOptions {
+            obs_seed: 0x601D,
+            ..ServiceOptions::default()
+        },
+    );
+    svc.spanner().attach_durability(SimDisk::new());
+    let db = svc.create_database("gold");
+    let mut rng = SimRng::new(0x601D);
+    svc.set_rules(
+        "gold",
+        r#"
+        service cloud.firestore {
+          match /databases/{db}/documents {
+            match /{document=**} { allow read, write; }
+          }
+        }
+        "#,
+    )
+    .expect("rules");
+    create_index_blocking(
+        &db,
+        "c",
+        vec![
+            IndexedField::asc("tag"),
+            IndexedField::desc("v"),
+        ],
+    )
+    .expect("index");
+
+    let conn = svc.connect();
+    let listen_q = Query::parse("/c").unwrap().filter("tag", FilterOp::Eq, Value::Str("x".into()));
+    svc.listen("gold", &conn, listen_q, &Caller::Service)
+        .expect("listen");
+    for i in 0..4i64 {
+        let tag = if i % 2 == 0 { "x" } else { "y" };
+        let w = Write::set(
+            doc(&format!("/c/d{i}")),
+            [("v", Value::Int(i)), ("tag", Value::Str(tag.into()))],
+        );
+        svc.commit("gold", vec![w], &Caller::Service, &mut rng)
+            .expect("commit");
+        svc.realtime().tick();
+    }
+    let _ = conn.poll();
+    svc.get_document("gold", &doc("/c/d1"), &Caller::Service, &mut rng)
+        .expect("get");
+    let q = Query::parse("/c")
+        .unwrap()
+        .filter("tag", FilterOp::Eq, Value::Str("x".into()))
+        .order_by("v", Direction::Desc)
+        .limit(2);
+    svc.run_query("gold", &q, &Caller::Service, &mut rng)
+        .expect("query");
+    db.run_count(&q.clone().without_window(), Consistency::Strong, &Caller::Service)
+        .expect("count");
+    db.run_transaction(3, |txn| {
+        let cur = txn.get(&doc("/c/d0"))?;
+        let v = cur
+            .and_then(|d| d.fields.get("v").cloned())
+            .unwrap_or(Value::Int(0));
+        txn.set(doc("/c/d0"), [("v", v), ("tag", Value::Str("y".into()))]);
+        Ok(())
+    })
+    .expect("transaction");
+    svc.realtime().tick();
+    let _ = conn.poll();
+
+    let client = FirestoreClient::connect(
+        db.clone(),
+        svc.realtime().clone(),
+        ClientOptions {
+            auth: Some(rules::AuthContext::uid("u")),
+        },
+    );
+    let now = clock.now();
+    let plan = FaultPlan::new(3).rule(FaultRule::scheduled(
+        FaultKind::LockTimeout,
+        now,
+        now + Duration::from_millis(20),
+    ));
+    svc.spanner()
+        .set_fault_injector(Some(FaultInjector::new(clock.clone(), plan)));
+    client.set("/c/client", [("v", Value::Int(9))]).expect("set");
+    client.flush().expect("flush");
+    svc.spanner().set_fault_injector(None);
+    client.flush().expect("flush after chaos");
+    svc.tick();
+
+    (
+        svc.obs().tracer.render(),
+        svc.obs().metrics.snapshot().to_json(),
+    )
+}
+
+/// The trace and the metrics snapshot of [`golden_run`] are byte-equal to
+/// the committed files under `tests/golden/`: instrumentation may get
+/// cheaper, but never change what it records. On a mismatch the actual
+/// output is written next to the build (`target/golden_actual/`) for `diff`.
+#[test]
+fn golden_trace_and_metrics_are_byte_identical() {
+    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
+    let (trace, metrics) = golden_run();
+    assert!(trace.contains("locks-acquired n="), "{trace}");
+    assert!(trace.contains("prepare-durable table="), "{trace}");
+    assert!(trace.contains("outcome-durable"), "{trace}");
+    assert!(trace.contains("retry backoff="), "{trace}");
+    let mut mismatched = Vec::new();
+    for (file, actual) in [("trace.txt", &trace), ("metrics.json", &metrics)] {
+        let expected = std::fs::read_to_string(golden.join(file)).unwrap_or_default();
+        if &expected != actual {
+            let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+                .join("../../target/golden_actual");
+            std::fs::create_dir_all(&out).expect("mkdir");
+            std::fs::write(out.join(file), actual).expect("write actual");
+            mismatched.push(file);
+        }
+    }
+    assert!(
+        mismatched.is_empty(),
+        "{mismatched:?} differ from tests/golden/; actual output written to target/golden_actual/"
+    );
+}
