@@ -23,7 +23,7 @@ use parking_lot::Mutex;
 use realtime::{Connection, ListenEvent, RealtimeCache, ResetCause};
 use rules::AuthContext;
 use simkit::Timestamp;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Client configuration.
@@ -340,8 +340,8 @@ impl FirestoreClient {
             let dedup_id = format!("client-{session}:{id}");
             let span = obs.as_ref().map(|o| o.tracer.span("client.flush"));
             if let Some(s) = &span {
-                s.attr("doc", &name);
-                s.attr("dedup_id", &dedup_id);
+                s.attr("doc", name.to_string());
+                s.attr("dedup_id", dedup_id.clone());
             }
             let mut backoff = Backoff::new(self.retry_policy, clock.now().as_nanos());
             let outcome = loop {
@@ -544,7 +544,7 @@ impl FirestoreClient {
         let mut st = self.state.lock();
         // Detect server-side deletions for documents we previously cached
         // in this query's collection.
-        let fresh: Vec<DocumentName> = result.documents.iter().map(|d| d.name.clone()).collect();
+        let fresh: HashSet<&DocumentName> = result.documents.iter().map(|d| &d.name).collect();
         let stale: Vec<DocumentName> = st
             .store
             .known_names()

@@ -19,9 +19,9 @@ use crate::triggers::TriggerRegistry;
 #[cfg(test)]
 use crate::write::Precondition;
 use crate::write::{self, Caller, Write, WriteResult, WriteStats};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use rules::{Method, RequestContext, Ruleset};
-use simkit::{Duration, Obs, Timestamp};
+use simkit::{CounterHandle, Duration, Metrics, Obs, Timestamp};
 use spanner::database::DirectoryId;
 use spanner::messaging::MessageQueue;
 use spanner::{ReadWriteTransaction, SpannerDatabase};
@@ -99,7 +99,12 @@ impl RulesEngine {
         RulesEngine { ruleset, compiled }
     }
 
-    fn allows(&self, req: &RequestContext, data: &dyn rules::DataSource, obs: Option<&Obs>) -> bool {
+    fn allows(
+        &self,
+        req: &RequestContext,
+        data: &dyn rules::DataSource,
+        instruments: Option<&Instruments>,
+    ) -> bool {
         let (decision, residual) = self.compiled.decide_traced(req, data);
         if cfg!(debug_assertions) {
             let reference = self.ruleset.decide(req, data);
@@ -110,21 +115,94 @@ impl RulesEngine {
                 req.path.join("/")
             );
         }
-        if let Some(o) = obs {
+        if let Some(i) = instruments {
             // Bounded cardinality: two unlabelled counters. Their ratio is
             // the fraction of authorization decisions that paid the
             // residual-expression interpreter fallback.
-            o.metrics.incr("rules.decisions", &[], 1);
+            i.decisions.incr(1);
             if residual {
-                o.metrics.incr("rules.residual_hits", &[], 1);
+                i.residual_hits.incr(1);
             }
         }
         decision.allowed
     }
 }
 
+/// Which entry point served a query; labels the `query.*` metrics.
+#[derive(Clone, Copy, Debug)]
+enum QueryKind {
+    Query,
+    Partial,
+    Count,
+    Analyze,
+}
+
+impl QueryKind {
+    const ALL: [QueryKind; 4] = [
+        QueryKind::Query,
+        QueryKind::Partial,
+        QueryKind::Count,
+        QueryKind::Analyze,
+    ];
+
+    fn label(self) -> &'static str {
+        match self {
+            QueryKind::Query => "query",
+            QueryKind::Partial => "partial",
+            QueryKind::Count => "count",
+            QueryKind::Analyze => "analyze",
+        }
+    }
+}
+
+/// The executor's work counters for one `{db, kind}` label set.
+struct QueryCounters {
+    runs: CounterHandle,
+    entries_examined: CounterHandle,
+    entries_returned: CounterHandle,
+    seeks: CounterHandle,
+    docs_fetched: CounterHandle,
+    bytes_returned: CounterHandle,
+}
+
+/// This database's rules and query series, resolved once per metrics
+/// registry (the one attached to the underlying Spanner database).
+struct Instruments {
+    metrics: Metrics,
+    decisions: CounterHandle,
+    residual_hits: CounterHandle,
+    /// Indexed by [`QueryKind`].
+    query: [QueryCounters; 4],
+}
+
+impl Instruments {
+    fn new(metrics: &Metrics, db: &str) -> Instruments {
+        let query = QueryKind::ALL.map(|kind| {
+            let labels = [("db", db), ("kind", kind.label())];
+            QueryCounters {
+                runs: metrics.counter("query.runs", &labels),
+                entries_examined: metrics.counter("query.entries_examined", &labels),
+                entries_returned: metrics.counter("query.entries_returned", &labels),
+                seeks: metrics.counter("query.seeks", &labels),
+                docs_fetched: metrics.counter("query.docs_fetched", &labels),
+                bytes_returned: metrics.counter("query.bytes_returned", &labels),
+            }
+        });
+        Instruments {
+            metrics: metrics.clone(),
+            decisions: metrics.counter("rules.decisions", &[]),
+            residual_hits: metrics.counter("rules.residual_hits", &[]),
+            query,
+        }
+    }
+}
+
 struct Inner {
     spanner: SpannerDatabase,
+    /// `options.database_id`, shared so trace attributes can carry it
+    /// without copying it.
+    id: Arc<str>,
+    instruments: Mutex<Option<Arc<Instruments>>>,
     dir: DirectoryId,
     catalog: RwLock<IndexCatalog>,
     ruleset: RwLock<Option<RulesEngine>>,
@@ -159,6 +237,8 @@ impl FirestoreDatabase {
         FirestoreDatabase {
             inner: Arc::new(Inner {
                 spanner,
+                id: options.database_id.as_str().into(),
+                instruments: Mutex::new(None),
                 dir,
                 catalog: RwLock::new(IndexCatalog::new()),
                 ruleset: RwLock::new(None),
@@ -179,7 +259,7 @@ impl FirestoreDatabase {
 
     /// This database's id.
     pub fn id(&self) -> &str {
-        &self.inner.options.database_id
+        &self.inner.id
     }
 
     /// The underlying Spanner handle.
@@ -213,20 +293,30 @@ impl FirestoreDatabase {
         self.inner.oracle_ignore_dedup.store(ignore, Ordering::SeqCst);
     }
 
-    /// Record the executor's work counters into the metrics registry and
-    /// onto the enclosing span, labelled with this database's id.
-    fn observe_query_stats(&self, obs: &Obs, kind: &str, stats: &crate::executor::QueryStats) {
-        let labels = [("db", self.id()), ("kind", kind)];
-        obs.metrics.incr("query.runs", &labels, 1);
-        obs.metrics
-            .incr("query.entries_examined", &labels, stats.entries_examined as u64);
-        obs.metrics
-            .incr("query.entries_returned", &labels, stats.entries_returned as u64);
-        obs.metrics.incr("query.seeks", &labels, stats.seeks as u64);
-        obs.metrics
-            .incr("query.docs_fetched", &labels, stats.docs_fetched as u64);
-        obs.metrics
-            .incr("query.bytes_returned", &labels, stats.bytes_returned as u64);
+    /// This database's series in `obs`'s registry, resolved on first use
+    /// and again whenever a different registry is attached.
+    fn instruments(&self, obs: &Obs) -> Arc<Instruments> {
+        let mut slot = self.inner.instruments.lock();
+        match &*slot {
+            Some(i) if i.metrics.same_registry(&obs.metrics) => i.clone(),
+            _ => {
+                let i = Arc::new(Instruments::new(&obs.metrics, self.id()));
+                *slot = Some(i.clone());
+                i
+            }
+        }
+    }
+
+    /// Record the executor's work counters into the metrics registry,
+    /// labelled with this database's id and the query kind.
+    fn observe_query_stats(&self, obs: &Obs, kind: QueryKind, stats: &crate::executor::QueryStats) {
+        let c = &self.instruments(obs).query[kind as usize];
+        c.runs.incr(1);
+        c.entries_examined.incr(stats.entries_examined as u64);
+        c.entries_returned.incr(stats.entries_returned as u64);
+        c.seeks.incr(stats.seeks as u64);
+        c.docs_fetched.incr(stats.docs_fetched as u64);
+        c.bytes_returned.incr(stats.bytes_returned as u64);
     }
 
     /// The transactional message queue (used by triggers).
@@ -393,7 +483,8 @@ impl FirestoreDatabase {
             ));
         };
         let source = write::RulesDataSource::new(&self.inner.spanner, self.inner.dir, access);
-        if engine.allows(req, &source, self.obs().as_ref()) {
+        let instruments = self.obs().map(|o| self.instruments(&o));
+        if engine.allows(req, &source, instruments.as_deref()) {
             return Ok(());
         }
         Err(source.into_failure().unwrap_or_else(|| {
@@ -412,7 +503,7 @@ impl FirestoreDatabase {
             query,
             consistency,
             caller,
-            "query",
+            QueryKind::Query,
             QueryMode::Fetch(usize::MAX),
         )?;
         Ok(served.result)
@@ -432,7 +523,7 @@ impl FirestoreDatabase {
             query,
             consistency,
             caller,
-            "partial",
+            QueryKind::Partial,
             QueryMode::Fetch(work_limit),
         )?;
         Ok(served.result)
@@ -449,7 +540,7 @@ impl FirestoreDatabase {
         consistency: Consistency,
         caller: &Caller,
     ) -> FirestoreResult<(usize, crate::executor::QueryStats)> {
-        let served = self.serve_query(query, consistency, caller, "count", QueryMode::Count)?;
+        let served = self.serve_query(query, consistency, caller, QueryKind::Count, QueryMode::Count)?;
         Ok((served.matched, served.result.stats))
     }
 
@@ -462,7 +553,7 @@ impl FirestoreDatabase {
         query: &Query,
         consistency: Consistency,
         caller: &Caller,
-        kind: &'static str,
+        kind: QueryKind,
         mode: QueryMode,
     ) -> FirestoreResult<ServedQuery> {
         self.check_gate(GatedOp::Query)?;
@@ -479,7 +570,7 @@ impl FirestoreDatabase {
             let span = obs.as_ref().map(|o| o.tracer.span("query.plan"));
             let plan = plan_query(&mut self.inner.catalog.write(), self.inner.dir, query)?;
             if let Some(s) = &span {
-                s.attr("collection", &query.collection);
+                s.attr("collection", query.collection.to_string());
                 s.attr("joined_indexes", plan.joined_indexes());
             }
             plan
@@ -566,7 +657,7 @@ impl FirestoreDatabase {
             query,
             consistency,
             caller,
-            "analyze",
+            QueryKind::Analyze,
             QueryMode::Fetch(usize::MAX),
         )?;
         let catalog = self.inner.catalog.read();
@@ -683,7 +774,7 @@ impl FirestoreDatabase {
         let obs = self.obs();
         let pipeline_span = obs.as_ref().map(|o| o.tracer.span("core.commit_pipeline"));
         if let Some(s) = &pipeline_span {
-            s.attr("db", self.id());
+            s.attr("db", &self.inner.id);
             s.attr("writes", writes.len());
         }
 

@@ -31,7 +31,7 @@ use firestore_core::{Document, Query};
 use parking_lot::Mutex;
 use simkit::fault::{FaultInjector, FaultKind};
 use simkit::history::{HistoryEvent, HistoryRecorder};
-use simkit::{prof, Duration, Obs, Timestamp, TrueTime};
+use simkit::{prof, CounterHandle, Duration, Obs, Timestamp, TrueTime};
 use spanner::database::DirectoryId;
 use spanner::Key;
 use std::collections::HashMap;
@@ -209,7 +209,7 @@ struct RtState {
     next_token: u64,
     stats: RealtimeStats,
     injector: Option<Arc<FaultInjector>>,
-    obs: Option<Obs>,
+    obs: Option<Arc<Instruments>>,
     /// Consistency-oracle recorder; every listener snapshot and reset is
     /// recorded while one is attached.
     history: Option<Arc<HistoryRecorder>>,
@@ -226,6 +226,38 @@ struct RtState {
     meter: FanoutMeter,
     /// When the changelog backlog was last flushed through the matcher.
     last_flush: Timestamp,
+}
+
+/// The attached observability handle plus the Prepare/Accept and fanout
+/// series, resolved once when the handle is attached.
+struct Instruments {
+    obs: Obs,
+    prepares: CounterHandle,
+    prepare_unavailable: CounterHandle,
+    /// `rtc.accepts` by outcome: committed, failed, unknown.
+    accepts: [CounterHandle; 3],
+    notifications: CounterHandle,
+    coalesced: CounterHandle,
+    /// `rtc.fanout.routed` per Changelog task (shard).
+    routed: Vec<CounterHandle>,
+}
+
+impl Instruments {
+    fn new(obs: Obs, tasks: usize) -> Instruments {
+        let m = &obs.metrics;
+        Instruments {
+            prepares: m.counter("rtc.prepares", &[]),
+            prepare_unavailable: m.counter("rtc.prepare.unavailable", &[]),
+            accepts: ["committed", "failed", "unknown"]
+                .map(|outcome| m.counter("rtc.accepts", &[("outcome", outcome)])),
+            notifications: m.counter("rtc.fanout.notifications", &[]),
+            coalesced: m.counter("rtc.fanout.coalesced", &[]),
+            routed: (0..tasks)
+                .map(|ti| m.counter("rtc.fanout.routed", &[("shard", &ti.to_string())]))
+                .collect(),
+            obs,
+        }
+    }
 }
 
 /// A listener emission in flight: the event, the visible per-document
@@ -288,12 +320,14 @@ impl RealtimeCache {
     /// Attach (or clear) an observability handle. Prepare/Accept spans and
     /// matcher-fanout metrics are recorded through it.
     pub fn set_obs(&self, obs: Option<Obs>) {
-        self.state.lock().obs = obs;
+        let mut st = self.state.lock();
+        let tasks = st.tasks.len();
+        st.obs = obs.map(|o| Arc::new(Instruments::new(o, tasks)));
     }
 
     /// The attached observability handle, if any.
     pub fn obs(&self) -> Option<Obs> {
-        self.state.lock().obs.clone()
+        self.state.lock().obs.as_ref().map(|i| i.obs.clone())
     }
 
     /// Attach (or clear) the consistency-oracle history recorder. While one
@@ -445,12 +479,12 @@ impl RealtimeCache {
         }
         if !expired.is_empty() {
             if let Some(o) = &st.obs {
-                o.metrics
+                o.obs.metrics
                     .incr("rtc.resets", &[("cause", "prepare-expired")], expired.len() as u64);
             }
         }
         for buckets in expired {
-            Self::reset_matching(&mut st, &buckets, "prepare-expired");
+            Self::reset_matching(&mut st, &buckets, "prepare-expired", now);
         }
         // Flush the batched changelog when its interval elapses (eager mode
         // keeps the backlog empty, so this is a no-op there).
@@ -470,7 +504,7 @@ impl RealtimeCache {
         if let Some(o) = &st.obs {
             let meter = &mut st.meter;
             meter.export_gauges(
-                &o.metrics,
+                &o.obs.metrics,
                 st.conns
                     .iter()
                     .map(|(id, c)| (id.0, &c.out as &dyn QueueGauge)),
@@ -498,6 +532,7 @@ impl RealtimeCache {
         mut requery: impl FnMut(&Query) -> Result<Vec<Document>, E>,
         snapshot_ts: Timestamp,
     ) -> usize {
+        let now = self.truetime.clock().now();
         let mut st = self.state.lock();
         let st = &mut *st;
         for task in st.tasks.iter_mut() {
@@ -549,7 +584,7 @@ impl RealtimeCache {
                                 is_initial: false,
                             };
                             let cost = event_cost(&ev);
-                            conn.out.push(ev, cost);
+                            conn.out.push(ev, cost, now);
                         }
                     }
                     Err(_) => {
@@ -559,7 +594,7 @@ impl RealtimeCache {
                             cause: ResetCause::Fault,
                         };
                         let cost = event_cost(&ev);
-                        conn.out.push(ev, cost);
+                        conn.out.push(ev, cost, now);
                         resets += 1;
                         if record {
                             if let Some(qs) = removed {
@@ -602,7 +637,8 @@ impl RealtimeCache {
         max_ts: Timestamp,
     ) -> Result<(PrepareToken, Timestamp), PrepareUnavailable> {
         let mut st = self.state.lock();
-        let span = st.obs.as_ref().map(|o| o.tracer.span("rtc.prepare"));
+        let instruments = st.obs.clone();
+        let span = instruments.as_ref().map(|i| i.obs.tracer.span("rtc.prepare"));
         if let Some(s) = &span {
             s.attr("names", names.len());
             s.attr("max_ts", max_ts.as_nanos());
@@ -612,14 +648,14 @@ impl RealtimeCache {
             .as_ref()
             .is_some_and(|inj| inj.should_inject(FaultKind::CacheUnavailable, "rtc-prepare"))
         {
-            if let Some(o) = &st.obs {
-                o.metrics.incr("rtc.prepare.unavailable", &[], 1);
+            if let Some(i) = &instruments {
+                i.prepare_unavailable.incr(1);
             }
             return Err(PrepareUnavailable);
         }
         st.stats.prepares += 1;
-        if let Some(o) = &st.obs {
-            o.metrics.incr("rtc.prepares", &[], 1);
+        if let Some(i) = &instruments {
+            i.prepares.incr(1);
         }
         let token = st.next_token;
         st.next_token += 1;
@@ -659,23 +695,19 @@ impl RealtimeCache {
     ) {
         let mut st = self.state.lock();
         st.stats.accepts += 1;
-        let span = st.obs.as_ref().map(|o| o.tracer.span("rtc.accept"));
-        if let Some(s) = &span {
-            let label = match &outcome {
-                CommitOutcome::Committed(_) => "committed",
-                CommitOutcome::Failed => "failed",
-                CommitOutcome::Unknown => "unknown",
+        let instruments = st.obs.clone();
+        let span = instruments.as_ref().map(|i| i.obs.tracer.span("rtc.accept"));
+        if let Some(i) = &instruments {
+            let (label, n) = match &outcome {
+                CommitOutcome::Committed(_) => ("committed", 0),
+                CommitOutcome::Failed => ("failed", 1),
+                CommitOutcome::Unknown => ("unknown", 2),
             };
-            s.attr("outcome", label);
-            s.attr("changes", changes.len());
-        }
-        if let Some(o) = &st.obs {
-            let label = match &outcome {
-                CommitOutcome::Committed(_) => "committed",
-                CommitOutcome::Failed => "failed",
-                CommitOutcome::Unknown => "unknown",
-            };
-            o.metrics.incr("rtc.accepts", &[("outcome", label)], 1);
+            if let Some(s) = &span {
+                s.attr("outcome", label);
+                s.attr("changes", changes.len());
+            }
+            i.accepts[n].incr(1);
         }
         // Collect this token's pending buckets and drop the entries.
         let mut pending_buckets: Vec<Vec<u8>> = Vec::new();
@@ -728,9 +760,10 @@ impl RealtimeCache {
                 // "the system cannot guarantee ordering of the updates for
                 // that name range": reset every query matching the range.
                 if let Some(o) = &st.obs {
-                    o.metrics.incr("rtc.resets", &[("cause", "unknown-outcome")], 1);
+                    o.obs.metrics.incr("rtc.resets", &[("cause", "unknown-outcome")], 1);
                 }
-                Self::reset_matching(&mut st, &pending_buckets, "unknown-outcome");
+                let now = self.truetime.clock().now();
+                Self::reset_matching(&mut st, &pending_buckets, "unknown-outcome", now);
             }
         }
         self.advance_all(&mut st);
@@ -744,10 +777,10 @@ impl RealtimeCache {
     /// change fanning out to 10⁵ listeners costs 10⁵ pointers.
     fn flush_backlogs(&self, st: &mut RtState, now: Timestamp) {
         st.last_flush = now;
-        let flush_span = st
-            .obs
+        let instruments = st.obs.clone();
+        let flush_span = instruments
             .as_ref()
-            .map(|o| o.tracer.span("rtc.fanout.flush"));
+            .map(|i| i.obs.tracer.span("rtc.fanout.flush"));
         let clock = self.truetime.clock();
         let mut flushed_changes = 0usize;
         let mut flushed_any = false;
@@ -774,10 +807,9 @@ impl RealtimeCache {
                 let token_lists = {
                     // One matcher-tree bucket descent per directory run:
                     // charge it and let the profiler see it.
-                    let descent_span = st
-                        .obs
+                    let descent_span = instruments
                         .as_ref()
-                        .map(|o| o.tracer.span("rtc.matcher.descent"));
+                        .map(|i| i.obs.tracer.span("rtc.matcher.descent"));
                     let lists = st.matcher.match_batch(ti, dir, &refs);
                     clock.advance(
                         prof::costs::MATCH_DESCENT_BASE
@@ -788,12 +820,8 @@ impl RealtimeCache {
                     }
                     lists
                 };
-                if let Some(o) = &st.obs {
-                    o.metrics.incr(
-                        "rtc.fanout.routed",
-                        &[("shard", &ti.to_string())],
-                        group.len() as u64,
-                    );
+                if let Some(i) = &instruments {
+                    i.routed[ti].incr(group.len() as u64);
                 }
                 for ((_, ts, change), tokens) in group.iter().zip(token_lists) {
                     let mut buffered_to = 0u64;
@@ -812,9 +840,8 @@ impl RealtimeCache {
                             }
                         }
                     }
-                    if let Some(o) = &st.obs {
-                        o.metrics
-                            .incr("rtc.fanout.notifications", &[], buffered_to);
+                    if let Some(i) = &instruments {
+                        i.notifications.incr(buffered_to);
                     }
                 }
                 i = j;
@@ -833,7 +860,7 @@ impl RealtimeCache {
         over_buffer.sort_unstable();
         over_buffer.dedup();
         if !over_buffer.is_empty() {
-            Self::reset_queries(st, over_buffer, ResetCause::Overload, "buffer");
+            Self::reset_queries(st, over_buffer, ResetCause::Overload, "buffer", now);
         }
     }
 
@@ -860,12 +887,12 @@ impl RealtimeCache {
             if let Some(conn) = st.conns.get_mut(&conn_id) {
                 // Drop the queued deltas first: the bound is hard.
                 let before = conn.out.dropped();
-                conn.out.clear(now);
+                conn.out.clear();
                 st.stats.dropped_events += conn.out.dropped() - before;
                 qids.extend(conn.queries.keys().map(|q| (conn_id, *q)));
             }
             qids.sort_unstable();
-            Self::reset_queries(st, qids, ResetCause::Overload, reason);
+            Self::reset_queries(st, qids, ResetCause::Overload, reason, now);
         }
     }
 
@@ -875,7 +902,7 @@ impl RealtimeCache {
     /// watching those collections, never to total registrations — and is
     /// exact because matching is bucket-exact: a query outside the bucket
     /// can never have observed the affected documents.
-    fn reset_matching(st: &mut RtState, buckets: &[Vec<u8>], reason: &'static str) {
+    fn reset_matching(st: &mut RtState, buckets: &[Vec<u8>], reason: &'static str, now: Timestamp) {
         let mut targets: Vec<(ConnectionId, QueryId)> = Vec::new();
         let mut seen: Vec<&Vec<u8>> = Vec::new();
         for b in buckets {
@@ -887,7 +914,7 @@ impl RealtimeCache {
         }
         targets.sort_unstable();
         targets.dedup();
-        Self::reset_queries(st, targets, ResetCause::Fault, reason);
+        Self::reset_queries(st, targets, ResetCause::Fault, reason, now);
     }
 
     /// Shared reset tail for both causes: unregister from the matcher,
@@ -898,6 +925,7 @@ impl RealtimeCache {
         targets: Vec<(ConnectionId, QueryId)>,
         cause: ResetCause,
         reason: &'static str,
+        now: Timestamp,
     ) {
         for (conn_id, qid) in targets {
             st.matcher.unregister(&(conn_id, qid));
@@ -905,7 +933,7 @@ impl RealtimeCache {
                 let qs = conn.queries.remove(&qid)?;
                 let ev = ListenEvent::Reset { query: qid, cause };
                 let cost = event_cost(&ev);
-                conn.out.push(ev, cost);
+                conn.out.push(ev, cost, now);
                 Some(qs)
             });
             if let Some(qs) = removed {
@@ -915,7 +943,7 @@ impl RealtimeCache {
                     ResetCause::Overload => st.stats.resets_overload += 1,
                 }
                 if let Some(o) = &st.obs {
-                    o.metrics.incr(
+                    o.obs.metrics.incr(
                         "rtc.fanout.resets",
                         &[("cause", cause.label()), ("reason", reason)],
                         1,
@@ -1057,9 +1085,8 @@ impl RealtimeCache {
         }
         st.stats.coalesced += coalesced_total;
         if coalesced_total > 0 {
-            if let Some(o) = &st.obs {
-                o.metrics
-                    .incr("rtc.fanout.coalesced", &[], coalesced_total);
+            if let Some(i) = &st.obs {
+                i.coalesced.incr(coalesced_total);
             }
         }
         if walked_deltas > 0 {
@@ -1072,7 +1099,7 @@ impl RealtimeCache {
             let walk_span = st
                 .obs
                 .as_ref()
-                .map(|o| o.tracer.span("rtc.fanout.queue_walk"));
+                .map(|i| i.obs.tracer.span("rtc.fanout.queue_walk"));
             self.truetime
                 .clock()
                 .advance(prof::costs::QUEUE_WALK_PER_DELTA * walked_deltas);
@@ -1102,10 +1129,11 @@ impl RealtimeCache {
         }
         let st = &mut *st;
         if let Some(conn) = st.conns.get_mut(&conn_id) {
+            let now = self.truetime.clock().now();
             for (e, _, _) in emitted {
                 let cost = event_cost(&e);
                 st.meter.note_queued(conn_id.0, cost);
-                conn.out.push(e, cost);
+                conn.out.push(e, cost, now);
             }
         }
     }
@@ -1168,10 +1196,11 @@ impl Connection {
             is_initial: true,
         };
         let cost = event_cost(&ev);
-        conn.out.push(ev, cost);
+        let now = self.cache.truetime.clock().now();
+        conn.out.push(ev, cost, now);
         // A listen is client activity: restart the stall clock so a
-        // recovering listener is not re-shed off its pre-stall drain time.
-        conn.out.touch(self.cache.truetime.clock().now());
+        // recovering listener is not re-shed for its older undrained events.
+        conn.out.touch(now);
         conn.queries.insert(
             qid,
             QueryState {
@@ -1221,14 +1250,12 @@ impl Connection {
         }
     }
 
-    /// Drain queued events. Draining stamps the connection's drain clock —
-    /// a connection that stops calling this stalls and is eventually shed
-    /// with an overload reset.
+    /// Drain queued events. A connection that leaves an event undrained
+    /// for longer than the stall deadline is shed with an overload reset.
     pub fn poll(&self) -> Vec<ListenEvent> {
-        let now = self.cache.truetime.clock().now();
         let mut st = self.cache.state.lock();
         match st.conns.get_mut(&self.id) {
-            Some(conn) => conn.out.drain(now),
+            Some(conn) => conn.out.drain(),
             None => Vec::new(),
         }
     }

@@ -516,7 +516,7 @@ mod tests {
             Caller::Service,
         )
         .unwrap();
-        listener.poll().unwrap(); // initial snapshot; stamps the drain clock
+        listener.poll().unwrap(); // the initial snapshot
 
         // Queue a delta, then stop draining past the stall deadline: the
         // cache must shed this listener voluntarily, not buffer forever.

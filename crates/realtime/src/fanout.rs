@@ -125,14 +125,16 @@ pub struct OutboundQueue<E> {
     max_events: usize,
     max_bytes: usize,
     high_watermark: f64,
-    /// Last time the client drained the queue (or the queue became empty).
-    last_drained: Timestamp,
+    /// When the oldest undrained event was queued: the drain clock starts
+    /// when the queue goes from empty to non-empty, so a connection that
+    /// was idle for a long time is not stalled by its first event.
+    pending_since: Timestamp,
     /// Cumulative events dropped by [`OutboundQueue::clear`] (reset path).
     dropped: u64,
 }
 
 impl<E> OutboundQueue<E> {
-    /// An empty queue with the given bounds, considering `now` as drained.
+    /// An empty queue with the given bounds.
     pub fn new(opts: &FanoutOptions, now: Timestamp) -> OutboundQueue<E> {
         OutboundQueue {
             events: VecDeque::new(),
@@ -140,7 +142,7 @@ impl<E> OutboundQueue<E> {
             max_events: opts.queue_max_events.max(1),
             max_bytes: opts.queue_max_bytes.max(1),
             high_watermark: opts.high_watermark.clamp(0.0, 1.0),
-            last_drained: now,
+            pending_since: now,
             dropped: 0,
         }
     }
@@ -165,8 +167,11 @@ impl<E> OutboundQueue<E> {
         self.dropped
     }
 
-    /// Enqueue an event with its approximate cost.
-    pub fn push(&mut self, event: E, cost: usize) {
+    /// Enqueue an event with its approximate cost at `now`.
+    pub fn push(&mut self, event: E, cost: usize, now: Timestamp) {
+        if self.events.is_empty() {
+            self.pending_since = now;
+        }
         self.bytes += cost;
         self.events.push_back((event, cost));
     }
@@ -185,21 +190,19 @@ impl<E> OutboundQueue<E> {
         }
     }
 
-    /// Drain everything (the client's poll), stamping the drain clock.
-    pub fn drain(&mut self, now: Timestamp) -> Vec<E> {
-        self.last_drained = now;
+    /// Drain everything (the client's poll).
+    pub fn drain(&mut self) -> Vec<E> {
         self.bytes = 0;
         self.events.drain(..).map(|(e, _)| e).collect()
     }
 
     /// Drop all queued events (the reset path discards a shed listener's
-    /// deltas). The drain clock restarts: the listener gets a full
-    /// deadline to pick up the reset notice itself.
-    pub fn clear(&mut self, now: Timestamp) {
+    /// deltas). The reset notice queued next starts a fresh drain clock,
+    /// so the listener gets a full deadline to pick it up.
+    pub fn clear(&mut self) {
         self.dropped += self.events.len() as u64;
         self.events.clear();
         self.bytes = 0;
-        self.last_drained = now;
     }
 
     /// Restart the drain clock without draining. A fresh subscription on
@@ -207,12 +210,13 @@ impl<E> OutboundQueue<E> {
     /// listener recovering from a shed inherits the stale pre-stall clock
     /// and is immediately shed again.
     pub fn touch(&mut self, now: Timestamp) {
-        self.last_drained = now;
+        self.pending_since = now;
     }
 
-    /// Whether the connection has undrained events older than `deadline`.
+    /// Whether the connection has an undrained event queued longer than
+    /// `deadline` ago.
     pub fn stalled(&self, now: Timestamp, deadline: Duration) -> bool {
-        !self.events.is_empty() && now.saturating_sub(self.last_drained) > deadline
+        !self.events.is_empty() && now.saturating_sub(self.pending_since) > deadline
     }
 }
 
@@ -406,15 +410,16 @@ mod tests {
     fn queue_pressure_classification() {
         let mut q: OutboundQueue<u32> = OutboundQueue::new(&opts(), Timestamp::ZERO);
         assert_eq!(q.pressure(), QueuePressure::Normal);
-        q.push(1, 10);
-        q.push(2, 10);
+        let t = Timestamp::ZERO;
+        q.push(1, 10, t);
+        q.push(2, 10, t);
         assert_eq!(q.pressure(), QueuePressure::High, "watermark at 2 of 4");
-        q.push(3, 10);
-        q.push(4, 10);
+        q.push(3, 10, t);
+        q.push(4, 10, t);
         assert_eq!(q.pressure(), QueuePressure::High);
-        q.push(5, 10);
+        q.push(5, 10, t);
         assert_eq!(q.pressure(), QueuePressure::Overflow);
-        let drained = q.drain(Timestamp::from_millis(5));
+        let drained = q.drain();
         assert_eq!(drained, vec![1, 2, 3, 4, 5]);
         assert_eq!(q.pressure(), QueuePressure::Normal);
         assert_eq!(q.bytes(), 0);
@@ -423,7 +428,7 @@ mod tests {
     #[test]
     fn queue_byte_bound_trips_independently() {
         let mut q: OutboundQueue<u32> = OutboundQueue::new(&opts(), Timestamp::ZERO);
-        q.push(1, 1200);
+        q.push(1, 1200, Timestamp::ZERO);
         assert_eq!(q.pressure(), QueuePressure::Overflow, "1200 > 1000 bytes");
     }
 
@@ -432,20 +437,22 @@ mod tests {
         let mut q: OutboundQueue<u32> = OutboundQueue::new(&opts(), Timestamp::ZERO);
         let deadline = Duration::from_secs(5);
         assert!(!q.stalled(Timestamp::from_millis(60_000), deadline), "empty never stalls");
-        q.push(1, 1);
-        assert!(!q.stalled(Timestamp::from_millis(4_000), deadline));
-        assert!(q.stalled(Timestamp::from_millis(6_000), deadline));
-        q.drain(Timestamp::from_millis(6_000));
-        q.push(2, 1);
-        assert!(!q.stalled(Timestamp::from_millis(10_000), deadline), "drain resets the clock");
+        // Idle for a minute, then one event: the clock starts now.
+        q.push(1, 1, Timestamp::from_millis(60_000));
+        assert!(!q.stalled(Timestamp::from_millis(64_000), deadline));
+        q.push(2, 1, Timestamp::from_millis(65_500));
+        assert!(q.stalled(Timestamp::from_millis(66_000), deadline), "oldest event is 6 s old");
+        q.drain();
+        q.push(3, 1, Timestamp::from_millis(70_000));
+        assert!(!q.stalled(Timestamp::from_millis(74_000), deadline), "drain resets the clock");
     }
 
     #[test]
     fn clear_counts_dropped_events() {
         let mut q: OutboundQueue<u32> = OutboundQueue::new(&opts(), Timestamp::ZERO);
-        q.push(1, 10);
-        q.push(2, 10);
-        q.clear(Timestamp::from_millis(1));
+        q.push(1, 10, Timestamp::ZERO);
+        q.push(2, 10, Timestamp::ZERO);
+        q.clear();
         assert_eq!(q.dropped(), 2);
         assert!(q.is_empty());
         assert_eq!(q.bytes(), 0);

@@ -23,7 +23,10 @@ use firestore_core::{
 use parking_lot::{Mutex, RwLock};
 use realtime::{Connection, QueryId, RealtimeCache, RealtimeOptions};
 use simkit::latency::{CpuCostModel, Deployment, LatencyModel};
-use simkit::{Duration, Obs, PhaseBreakdown, SimClock, SimRng, Timestamp};
+use simkit::{
+    AttrValue, CounterHandle, Duration, Obs, PhaseBreakdown, PhaseHistograms, SimClock, SimRng,
+    SpanGuard, Timestamp,
+};
 use spanner::SpannerDatabase;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -98,7 +101,7 @@ pub struct FirestoreService {
     clock: SimClock,
     spanner: SpannerDatabase,
     rtc: RealtimeCache,
-    databases: RwLock<HashMap<String, FirestoreDatabase>>,
+    databases: RwLock<HashMap<String, Hosted>>,
     /// Billing meter shared by all hosted databases.
     pub billing: Arc<BillingMeter>,
     /// Backend admission control.
@@ -234,7 +237,11 @@ impl FirestoreService {
         // that reach the engine directly — consults tenant policy first.
         self.tenants.register(id);
         db.set_gate(Some(Arc::new(DbGate::new(id, self.tenants.clone()))));
-        self.databases.write().insert(id.to_string(), db.clone());
+        let hosted = Hosted {
+            db: db.clone(),
+            meters: Arc::new(DbMeters::new(&self.obs, id)),
+        };
+        self.databases.write().insert(id.to_string(), hosted);
         // Placement is chosen at creation time and immutable (§IV-A).
         let _ = self.router.register(id, RegionId(self.options.region.clone()));
         db
@@ -242,7 +249,7 @@ impl FirestoreService {
 
     /// Look up a hosted database.
     pub fn database(&self, id: &str) -> Option<FirestoreDatabase> {
-        self.databases.read().get(id).cloned()
+        self.databases.read().get(id).map(|h| h.db.clone())
     }
 
     /// Number of hosted databases.
@@ -250,9 +257,18 @@ impl FirestoreService {
         self.databases.read().len()
     }
 
-    fn require(&self, id: &str) -> FirestoreResult<FirestoreDatabase> {
-        self.database(id)
-            .ok_or_else(|| FirestoreError::NotFound(format!("database {id}")))
+    /// Tag an entry point's span with the database and look it up. A
+    /// hosted database's id is shared into the span without copying.
+    fn enter(&self, span: &SpanGuard<'_>, database: &str) -> FirestoreResult<Hosted> {
+        let hosted = self.databases.read().get(database).cloned();
+        span.attr(
+            "db",
+            match &hosted {
+                Some(h) => AttrValue::Shared(h.meters.id.clone()),
+                None => AttrValue::shared(database),
+            },
+        );
+        hosted.ok_or_else(|| FirestoreError::NotFound(format!("database {database}")))
     }
 
     /// Admit one request for `database` or fail with a retriable
@@ -260,22 +276,18 @@ impl FirestoreService {
     /// every exit path of an entry point gives the slot back. The
     /// per-database limit is bounded by the tenant's fair share of the
     /// global in-flight budget, so one tenant cannot monopolize the slots.
-    fn admit<'a>(&'a self, database: &'a str) -> FirestoreResult<AdmitGuard<'a>> {
+    fn admit<'a>(&'a self, database: &'a str, meters: &DbMeters) -> FirestoreResult<AdmitGuard<'a>> {
         let cap = self.tenants.fair_slot_cap();
         match self.admission.try_admit_bounded(database, cap) {
             Ok(()) => {
-                self.obs
-                    .metrics
-                    .incr("service.admission.admitted", &[("db", database)], 1);
+                meters.admitted.incr(1);
                 Ok(AdmitGuard {
                     admission: &self.admission,
                     database,
                 })
             }
             Err(e) => {
-                self.obs
-                    .metrics
-                    .incr("service.admission.rejected", &[("db", database)], 1);
+                meters.rejected.incr(1);
                 Err(e.into())
             }
         }
@@ -286,10 +298,9 @@ impl FirestoreService {
     /// deploy time, so no per-request work depends on rules complexity.
     pub fn set_rules(&self, database: &str, source: &str) -> FirestoreResult<()> {
         let span = self.obs.tracer.span("service.set_rules");
-        span.attr("db", database);
+        let hosted = self.enter(&span, database);
         span.attr("bytes", source.len());
-        let db = self.require(database)?;
-        db.set_rules(source)
+        hosted?.db.set_rules(source)
     }
 
     // --- metered request entry points -------------------------------------
@@ -303,9 +314,8 @@ impl FirestoreService {
         rng: &mut SimRng,
     ) -> FirestoreResult<(Option<Document>, ServedRequest)> {
         let span = self.obs.tracer.span("service.get_document");
-        span.attr("db", database);
-        let db = self.require(database)?;
-        let _slot = self.admit(database)?;
+        let Hosted { db, meters } = self.enter(&span, database)?;
+        let _slot = self.admit(database, &meters)?;
         let doc = db.get_document(name, Consistency::Strong, caller)?;
         self.billing.record_reads(database, 1);
         let bytes = doc.as_ref().map(|d| d.approx_size()).unwrap_or(0);
@@ -315,7 +325,7 @@ impl FirestoreService {
             execute: cpu_cost + storage_latency,
             ..PhaseBreakdown::default()
         };
-        breakdown.record(&self.obs.metrics, &[("db", database), ("op", "get")]);
+        breakdown.record_to(&meters.get);
         let served = ServedRequest {
             cpu_cost,
             storage_latency,
@@ -334,9 +344,8 @@ impl FirestoreService {
         rng: &mut SimRng,
     ) -> FirestoreResult<(firestore_core::executor::QueryResult, ServedRequest)> {
         let span = self.obs.tracer.span("service.run_query");
-        span.attr("db", database);
-        let db = self.require(database)?;
-        let _slot = self.admit(database)?;
+        let Hosted { db, meters } = self.enter(&span, database)?;
+        let _slot = self.admit(database, &meters)?;
         let result = db.run_query(query, Consistency::Strong, caller)?;
         self.billing
             .record_reads(database, result.documents.len() as u64);
@@ -357,7 +366,7 @@ impl FirestoreService {
             execute: cpu_cost.saturating_sub(plan) + storage_latency,
             ..PhaseBreakdown::default()
         };
-        breakdown.record(&self.obs.metrics, &[("db", database), ("op", "query")]);
+        breakdown.record_to(&meters.query);
         let served = ServedRequest {
             cpu_cost,
             storage_latency,
@@ -376,9 +385,8 @@ impl FirestoreService {
         rng: &mut SimRng,
     ) -> FirestoreResult<(WriteResult, ServedRequest)> {
         let span = self.obs.tracer.span("service.commit");
-        span.attr("db", database);
-        let db = self.require(database)?;
-        let _slot = self.admit(database)?;
+        let Hosted { db, meters } = self.enter(&span, database)?;
+        let _slot = self.admit(database, &meters)?;
         let deletes = writes
             .iter()
             .filter(|w| matches!(w.op, firestore_core::WriteOp::Delete { .. }))
@@ -409,7 +417,7 @@ impl FirestoreService {
             fanout: rtc_hops,
             ..PhaseBreakdown::default()
         };
-        breakdown.record(&self.obs.metrics, &[("db", database), ("op", "commit")]);
+        breakdown.record_to(&meters.commit);
         let served = ServedRequest {
             cpu_cost,
             storage_latency: spanner_latency + rtc_hops,
@@ -435,11 +443,12 @@ impl FirestoreService {
         caller: &Caller,
     ) -> FirestoreResult<QueryId> {
         let span = self.obs.tracer.span("service.listen");
-        span.attr("db", database);
-        self.obs
-            .metrics
-            .incr("service.listens", &[("db", database)], 1);
-        let db = self.require(database)?;
+        let hosted = self.enter(&span, database);
+        match &hosted {
+            Ok(h) => h.meters.listens.incr(1),
+            Err(_) => self.obs.metrics.incr("service.listens", &[("db", database)], 1),
+        }
+        let db = hosted?.db;
         // The initial snapshot below runs through the tenant gate (it is a
         // query); the listener registration itself is capped here.
         self.tenants.listener_opened(database)?;
@@ -536,7 +545,7 @@ impl FirestoreService {
             .databases
             .read()
             .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
+            .map(|(k, h)| (k.clone(), h.db.clone()))
             .collect();
         for (id, db) in &dbs {
             if let Ok((_, bytes)) = db.storage_stats() {
@@ -575,6 +584,42 @@ impl FirestoreService {
         }
         // Per-tenant backlog gauges (top-K heavy hitters + `other`).
         self.tenants.export_gauges();
+    }
+}
+
+/// A hosted database and its service-level series.
+#[derive(Clone)]
+struct Hosted {
+    db: FirestoreDatabase,
+    meters: Arc<DbMeters>,
+}
+
+/// One database's service-level series, resolved once when it is
+/// provisioned (none is exported before its first update).
+struct DbMeters {
+    /// The database id, shared into span attributes without copying.
+    id: Arc<str>,
+    admitted: CounterHandle,
+    rejected: CounterHandle,
+    listens: CounterHandle,
+    get: PhaseHistograms,
+    query: PhaseHistograms,
+    commit: PhaseHistograms,
+}
+
+impl DbMeters {
+    fn new(obs: &Obs, id: &str) -> DbMeters {
+        let m = &obs.metrics;
+        let phases = |op| PhaseHistograms::resolve(m, &[("db", id), ("op", op)]);
+        DbMeters {
+            id: id.into(),
+            admitted: m.counter("service.admission.admitted", &[("db", id)]),
+            rejected: m.counter("service.admission.rejected", &[("db", id)]),
+            listens: m.counter("service.listens", &[("db", id)]),
+            get: phases("get"),
+            query: phases("query"),
+            commit: phases("commit"),
+        }
     }
 }
 

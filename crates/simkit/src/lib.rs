@@ -46,7 +46,10 @@ pub use des::Scheduler;
 pub use disk::{CrashPoints, DiskError, LogReplay, SimDisk};
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultRule, FaultStats};
 pub use history::{HistoryEvent, HistoryRecorder, ModelStore, Recorded, Violation};
-pub use obs::{Metrics, MetricsSnapshot, Obs, PhaseBreakdown, Span, SpanGuard, SpanId, TopK, Tracer};
+pub use obs::{
+    AttrValue, CounterHandle, HistogramHandle, Metrics, MetricsSnapshot, Obs, PhaseBreakdown,
+    PhaseHistograms, Span, SpanGuard, SpanId, TopK, Tracer,
+};
 pub use prof::FoldedProfile;
 pub use rng::SimRng;
 pub use truetime::{TrueTime, TtInterval};

@@ -21,8 +21,10 @@
 //! `Option<Obs>` and skip instrumentation entirely when unset, so existing
 //! constructors, tests, and benches are unaffected unless they opt in.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -32,7 +34,7 @@ use crate::rng::SimRng;
 use crate::stats::Histogram;
 
 /// Identifier of one span within a trace. Allocated sequentially.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SpanId(u64);
 
 impl SpanId {
@@ -42,24 +44,127 @@ impl SpanId {
     }
 }
 
+/// A typed span attribute value. It is stored as is and formatted only by
+/// [`Tracer::render`], so attaching one never formats or allocates.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum AttrValue {
+    /// An unsigned integer: a count, a size, nanoseconds, an id.
+    U64(u64),
+    /// A signed integer.
+    I64(i64),
+    /// A boolean.
+    Bool(bool),
+    /// A string known at compile time, e.g. an outcome label.
+    Str(&'static str),
+    /// A runtime string shared by reference count, e.g. a database id.
+    Shared(Arc<str>),
+}
+
+impl AttrValue {
+    /// A runtime string copied into a new shared value (this allocates;
+    /// hot paths keep an `Arc<str>` and convert that instead).
+    pub fn shared(s: &str) -> AttrValue {
+        AttrValue::Shared(Arc::from(s))
+    }
+}
+
+impl std::fmt::Display for AttrValue {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            AttrValue::U64(v) => write!(f, "{v}"),
+            AttrValue::I64(v) => write!(f, "{v}"),
+            AttrValue::Bool(v) => write!(f, "{v}"),
+            AttrValue::Str(v) => f.write_str(v),
+            AttrValue::Shared(v) => f.write_str(v),
+        }
+    }
+}
+
+impl From<u64> for AttrValue {
+    fn from(v: u64) -> Self {
+        AttrValue::U64(v)
+    }
+}
+
+impl From<usize> for AttrValue {
+    fn from(v: usize) -> Self {
+        AttrValue::U64(v as u64)
+    }
+}
+
+impl From<i64> for AttrValue {
+    fn from(v: i64) -> Self {
+        AttrValue::I64(v)
+    }
+}
+
+impl From<bool> for AttrValue {
+    fn from(v: bool) -> Self {
+        AttrValue::Bool(v)
+    }
+}
+
+impl From<&'static str> for AttrValue {
+    fn from(v: &'static str) -> Self {
+        AttrValue::Str(v)
+    }
+}
+
+impl From<&Arc<str>> for AttrValue {
+    fn from(v: &Arc<str>) -> Self {
+        AttrValue::Shared(v.clone())
+    }
+}
+
+impl From<String> for AttrValue {
+    fn from(v: String) -> Self {
+        AttrValue::Shared(v.into())
+    }
+}
+
+/// Most integer arguments a point event carries.
+pub const EVENT_ARGS: usize = 2;
+
+/// A timestamped point event: a text plus up to [`EVENT_ARGS`] integer
+/// arguments, rendered as `text k=v k=v`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Event {
+    /// When the event happened (simulated time).
+    pub at: Timestamp,
+    /// The event text.
+    pub text: AttrValue,
+    /// Named integer arguments, in order; unused slots are `None`.
+    pub args: [Option<(&'static str, u64)>; EVENT_ARGS],
+}
+
+impl std::fmt::Display for Event {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}", self.text)?;
+        for (k, v) in self.args.iter().flatten() {
+            write!(f, " {k}={v}")?;
+        }
+        Ok(())
+    }
+}
+
 /// One finished (or in-flight) span: a named interval of simulated time with
 /// a causal parent, key=value attributes, and point-in-time events.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Span {
     /// This span's id.
     pub id: SpanId,
     /// The enclosing span at the time this one started, if any.
     pub parent: Option<SpanId>,
     /// Dotted span name, e.g. `spanner.commit` (see DESIGN.md §11 taxonomy).
-    pub name: String,
+    pub name: &'static str,
     /// Simulated start time.
     pub start: Timestamp,
     /// Simulated end time (== `start` until the guard drops).
     pub end: Timestamp,
     /// Attributes in insertion order.
-    pub attrs: Vec<(String, String)>,
+    pub attrs: Vec<(&'static str, AttrValue)>,
     /// Timestamped point events.
-    pub events: Vec<(Timestamp, String)>,
+    pub events: Vec<Event>,
 }
 
 impl Span {
@@ -69,18 +174,182 @@ impl Span {
     }
 }
 
-#[derive(Default)]
+/// An append-only log addressed by position. Entries live in a ring that is
+/// overwritten in place, oldest first; it grows only when the entries still
+/// needed (positions from `floor` on) would not fit. Appends and overwrites
+/// walk memory sequentially, so a full ring costs no scattered cache misses.
+struct Log<T> {
+    ring: Vec<T>,
+    cap: usize,
+    /// Position held by `ring[0]` since the ring was last rebuilt.
+    base: u64,
+    /// The next position, and the ring slot it goes to.
+    head: u64,
+    next: usize,
+}
+
+impl<T> Log<T> {
+    fn new(cap: usize, head: u64) -> Log<T> {
+        Log {
+            ring: Vec::new(),
+            cap: cap.max(1),
+            base: head,
+            head,
+            next: 0,
+        }
+    }
+
+    fn get(&self, pos: u64) -> &T {
+        &self.ring[((pos - self.base) % self.cap as u64) as usize]
+    }
+
+    fn push(&mut self, item: T, floor: u64) {
+        if self.head - floor >= self.cap as u64 {
+            // Every slot holds a needed entry: unroll the ring so `floor`
+            // sits at 0, then double it.
+            self.ring.rotate_left(self.next);
+            self.base = floor;
+            self.next = self.cap;
+            self.cap *= 2;
+        }
+        if self.next == self.ring.len() {
+            self.ring.push(item);
+        } else {
+            self.ring[self.next] = item;
+        }
+        self.head += 1;
+        self.next += 1;
+        if self.next == self.cap {
+            self.next = 0;
+        }
+    }
+}
+
+/// A retained finished span; its attributes and events sit in the tracer's
+/// logs, `n_attrs` from position `attrs` and `n_events` from `events`.
+struct Record {
+    id: SpanId,
+    parent: Option<SpanId>,
+    name: &'static str,
+    start: Timestamp,
+    end: Timestamp,
+    attrs: u64,
+    n_attrs: u32,
+    events: u64,
+    n_events: u32,
+}
+
+type Attr = (&'static str, AttrValue);
+
 struct TracerInner {
     next_id: u64,
-    /// Stack of currently open spans; the top is the parent of new spans.
+    /// Ids of the open spans, innermost last: the top is the parent of new
+    /// spans.
     stack: Vec<SpanId>,
-    open: BTreeMap<u64, Span>,
-    finished: Vec<Span>,
+    /// Emptied attribute and event buffers of finished spans, reused by
+    /// the next spans to open (as many as spans are ever open at once).
+    buffers: Vec<(Vec<Attr>, Vec<Event>)>,
+    /// Finished spans by finish sequence number. Its `head` is the number
+    /// of spans finished so far.
+    records: Log<Record>,
+    attrs: Log<Attr>,
+    events: Log<Event>,
     capacity: usize,
-    dropped: u64,
+    /// Finish sequence numbers below this are no longer retained. Once more
+    /// than `capacity` spans are retained it jumps to keep the newest half,
+    /// so retention stays amortized O(1) per span and the retained set is
+    /// the same as a buffer that sheds its oldest half when full.
+    retained_from: u64,
+    /// Log positions of the oldest retained span's attributes and events:
+    /// entries from here on are still needed.
+    attr_floor: u64,
+    event_floor: u64,
+}
+
+impl TracerInner {
+    /// A tracer state whose next finished span has sequence number `first`.
+    fn new(capacity: usize, first: u64) -> TracerInner {
+        TracerInner {
+            next_id: 0,
+            stack: Vec::new(),
+            buffers: Vec::new(),
+            // One slot more than retained: a finish lands before the
+            // oldest retained span is dropped.
+            records: Log::new(capacity + 1, first),
+            attrs: Log::new(1024, 0),
+            events: Log::new(256, 0),
+            capacity,
+            retained_from: first,
+            attr_floor: 0,
+            event_floor: 0,
+        }
+    }
+
+    fn finished(&self) -> u64 {
+        self.records.head
+    }
+
+    /// Move a finished span's attributes and events into the logs and keep
+    /// its record, recycling its emptied buffers.
+    fn retain(&mut self, mut span: Span) {
+        let record = Record {
+            id: span.id,
+            parent: span.parent,
+            name: span.name,
+            start: span.start,
+            end: span.end,
+            attrs: self.attrs.head,
+            n_attrs: span.attrs.len() as u32,
+            events: self.events.head,
+            n_events: span.events.len() as u32,
+        };
+        for attr in span.attrs.drain(..) {
+            self.attrs.push(attr, self.attr_floor);
+        }
+        for event in span.events.drain(..) {
+            self.events.push(event, self.event_floor);
+        }
+        self.buffers.push((span.attrs, span.events));
+        self.records.push(record, self.retained_from);
+        if self.finished() - self.retained_from > self.capacity as u64 {
+            self.retained_from = self.finished() - (self.capacity / 2).max(1) as u64;
+            let oldest = self.records.get(self.retained_from);
+            (self.attr_floor, self.event_floor) = (oldest.attrs, oldest.events);
+        }
+    }
+
+    /// Copies of the retained spans finished at or after `from`, in finish
+    /// order.
+    fn retained(&self, from: u64) -> Vec<Span> {
+        (from.max(self.retained_from)..self.finished())
+            .map(|seq| {
+                let r = self.records.get(seq);
+                Span {
+                    id: r.id,
+                    parent: r.parent,
+                    name: r.name,
+                    start: r.start,
+                    end: r.end,
+                    attrs: (r.attrs..r.attrs + u64::from(r.n_attrs))
+                        .map(|p| self.attrs.get(p).clone())
+                        .collect(),
+                    events: (r.events..r.events + u64::from(r.n_events))
+                        .map(|p| self.events.get(p).clone())
+                        .collect(),
+                }
+            })
+            .collect()
+    }
 }
 
 /// Deterministic structured tracer. Cheap to clone; clones share state.
+///
+/// Opening and finishing a span each take the tracer's lock once;
+/// attaching an attribute or event takes none (the guard holds them). Once
+/// the tracer's logs have grown to their steady size nothing allocates:
+/// names and keys are `&'static str`, values are typed [`AttrValue`]s,
+/// open spans reuse the buffers of finished ones, and finished spans are
+/// appended to rings overwritten in place.
 #[derive(Clone)]
 pub struct Tracer {
     clock: SimClock,
@@ -99,10 +368,7 @@ impl Tracer {
         Tracer {
             clock,
             trace_id: SimRng::new(seed).next_u64(),
-            inner: Arc::new(Mutex::new(TracerInner {
-                capacity: DEFAULT_TRACE_CAPACITY,
-                ..TracerInner::default()
-            })),
+            inner: Arc::new(Mutex::new(TracerInner::new(DEFAULT_TRACE_CAPACITY, 0))),
         }
     }
 
@@ -112,34 +378,42 @@ impl Tracer {
     }
 
     /// Cap the number of retained finished spans (older spans are dropped).
+    /// The newest retained spans that fit are kept.
     pub fn set_capacity(&self, capacity: usize) {
-        self.inner.lock().capacity = capacity.max(1);
+        let mut inner = self.inner.lock();
+        let capacity = capacity.max(1);
+        let from = inner.finished().saturating_sub(capacity as u64).max(inner.retained_from);
+        let kept = inner.retained(from);
+        let mut fresh = TracerInner::new(capacity, from);
+        fresh.next_id = inner.next_id;
+        fresh.stack = std::mem::take(&mut inner.stack);
+        for span in kept {
+            fresh.retain(span);
+        }
+        *inner = fresh;
     }
 
     /// Start a span as a child of the innermost open span. The returned
     /// guard finishes the span (stamping its end time) when dropped.
-    pub fn span(&self, name: impl Into<String>) -> SpanGuard {
-        let now = self.clock.now();
+    pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
+        let start = self.clock.now();
         let mut inner = self.inner.lock();
         inner.next_id += 1;
         let id = SpanId(inner.next_id);
         let parent = inner.stack.last().copied();
         inner.stack.push(id);
-        inner.open.insert(
-            id.0,
-            Span {
+        let (attrs, events) = inner.buffers.pop().unwrap_or_default();
+        SpanGuard {
+            tracer: self,
+            span: RefCell::new(Span {
                 id,
                 parent,
-                name: name.into(),
-                start: now,
-                end: now,
-                attrs: Vec::new(),
-                events: Vec::new(),
-            },
-        );
-        SpanGuard {
-            tracer: self.clone(),
-            id,
+                name,
+                start,
+                end: start,
+                attrs,
+                events,
+            }),
         }
     }
 
@@ -148,66 +422,30 @@ impl Tracer {
         self.inner.lock().stack.last().copied()
     }
 
-    /// Attach a point event to the innermost open span. A no-op when no
-    /// span is open (instrumented code may run outside any request).
-    pub fn event(&self, text: impl Into<String>) {
-        let now = self.clock.now();
+    fn finish(&self, mut span: Span) {
+        span.end = self.clock.now();
         let mut inner = self.inner.lock();
-        if let Some(id) = inner.stack.last().copied() {
-            if let Some(span) = inner.open.get_mut(&id.0) {
-                span.events.push((now, text.into()));
-            }
-        }
-    }
-
-    /// Attach an attribute to the innermost open span (no-op without one).
-    pub fn attr(&self, key: &str, value: impl ToString) {
-        let mut inner = self.inner.lock();
-        if let Some(id) = inner.stack.last().copied() {
-            if let Some(span) = inner.open.get_mut(&id.0) {
-                span.attrs.push((key.to_string(), value.to_string()));
-            }
-        }
-    }
-
-    fn finish(&self, id: SpanId) {
-        let now = self.clock.now();
-        let mut inner = self.inner.lock();
-        if let Some(pos) = inner.stack.iter().rposition(|&s| s == id) {
+        if let Some(pos) = inner.stack.iter().rposition(|&id| id == span.id) {
             inner.stack.remove(pos);
         }
-        if let Some(mut span) = inner.open.remove(&id.0) {
-            span.end = now;
-            inner.finished.push(span);
-            if inner.finished.len() > inner.capacity {
-                // Amortized retention: dropping one span per push would
-                // memmove the whole buffer on every finish once the cap is
-                // reached; shedding down to half capacity in one drain keeps
-                // the cost O(1) amortized per span on long runs.
-                let keep = (inner.capacity / 2).max(1);
-                let excess = inner.finished.len() - keep;
-                inner.finished.drain(..excess);
-                inner.dropped += excess as u64;
-            }
-        }
+        inner.retain(span);
     }
 
-    /// Number of finished spans currently retained. Use as a mark for
+    /// Total spans finished so far. Use as a mark for
     /// [`Tracer::finished_since`].
-    pub fn mark(&self) -> usize {
-        self.inner.lock().finished.len()
+    pub fn mark(&self) -> u64 {
+        self.inner.lock().finished()
     }
 
-    /// Clones of the finished spans retained at positions `>= mark`.
-    pub fn finished_since(&self, mark: usize) -> Vec<Span> {
-        let inner = self.inner.lock();
-        inner.finished.iter().skip(mark).cloned().collect()
+    /// Clones of the retained finished spans finished at or after `mark`
+    /// (the `mark`-th finish onwards), in finish order.
+    pub fn finished_since(&self, mark: u64) -> Vec<Span> {
+        self.inner.lock().retained(mark)
     }
 
     /// Total spans finished so far (including any dropped past capacity).
     pub fn finished_count(&self) -> u64 {
-        let inner = self.inner.lock();
-        inner.finished.len() as u64 + inner.dropped
+        self.inner.lock().finished()
     }
 
     /// Serialize the retained finished spans, sorted by span id, in a
@@ -222,23 +460,27 @@ impl Tracer {
     /// All numbers are integers (nanoseconds / counts): no float formatting
     /// can perturb byte identity across runs.
     pub fn render(&self) -> String {
-        let inner = self.inner.lock();
-        let mut spans: Vec<&Span> = inner.finished.iter().collect();
+        let (mut spans, dropped) = {
+            let inner = self.inner.lock();
+            (inner.retained(0), inner.retained_from)
+        };
         spans.sort_by_key(|s| s.id);
         let mut out = format!(
-            "# trace {:016x} spans={} dropped={}\n",
+            "# trace {:016x} spans={} dropped={dropped}\n",
             self.trace_id,
             spans.len(),
-            inner.dropped
         );
-        for span in spans {
+        for span in &spans {
+            let _ = write!(out, "[{:06}] parent=", span.id.0);
+            match span.parent {
+                Some(p) => {
+                    let _ = write!(out, "{:06}", p.0);
+                }
+                None => out.push('-'),
+            }
             let _ = write!(
                 out,
-                "[{:06}] parent={} {} t={}+{}ns",
-                span.id.0,
-                span.parent
-                    .map(|p| format!("{:06}", p.0))
-                    .unwrap_or_else(|| "-".to_string()),
+                " {} t={}+{}ns",
                 span.name,
                 span.start.as_nanos(),
                 span.duration().as_nanos(),
@@ -247,8 +489,8 @@ impl Tracer {
                 let _ = write!(out, " {k}={v}");
             }
             out.push('\n');
-            for (at, text) in &span.events {
-                let _ = writeln!(out, "[{:06}]   @{} {}", span.id.0, at.as_nanos(), text);
+            for event in &span.events {
+                let _ = writeln!(out, "[{:06}]   @{} {event}", span.id.0, event.at.as_nanos());
             }
         }
         out
@@ -263,53 +505,112 @@ impl std::fmt::Debug for Tracer {
 
 /// RAII guard for an open span: finishes it (stamping the simulated end
 /// time and popping it off the causality stack) on drop.
-pub struct SpanGuard {
-    tracer: Tracer,
-    id: SpanId,
+pub struct SpanGuard<'a> {
+    tracer: &'a Tracer,
+    /// The span so far. Its attributes and events stay with the guard until
+    /// it finishes, so attaching one takes no lock.
+    span: RefCell<Span>,
 }
 
-impl SpanGuard {
+impl SpanGuard<'_> {
     /// This span's id.
     pub fn id(&self) -> SpanId {
-        self.id
+        self.span.borrow().id
     }
 
     /// Attach an attribute to this span.
-    pub fn attr(&self, key: &str, value: impl ToString) {
-        let mut inner = self.tracer.inner.lock();
-        if let Some(span) = inner.open.get_mut(&self.id.0) {
-            span.attrs.push((key.to_string(), value.to_string()));
-        }
+    pub fn attr(&self, key: &'static str, value: impl Into<AttrValue>) {
+        self.span.borrow_mut().attrs.push((key, value.into()));
     }
 
     /// Attach a timestamped point event to this span.
-    pub fn event(&self, text: impl Into<String>) {
-        let now = self.tracer.clock.now();
-        let mut inner = self.tracer.inner.lock();
-        if let Some(span) = inner.open.get_mut(&self.id.0) {
-            span.events.push((now, text.into()));
+    pub fn event(&self, text: impl Into<AttrValue>) {
+        self.push_event(text.into(), &[]);
+    }
+
+    /// Attach a timestamped point event with up to [`EVENT_ARGS`] integer
+    /// arguments, rendered `text k=v k=v` without formatting anything now.
+    pub fn event_args(&self, text: &'static str, args: &[(&'static str, u64)]) {
+        self.push_event(AttrValue::Str(text), args);
+    }
+
+    fn push_event(&self, text: AttrValue, args: &[(&'static str, u64)]) {
+        assert!(args.len() <= EVENT_ARGS, "an event carries at most {EVENT_ARGS} args");
+        let mut event = Event {
+            at: self.tracer.clock.now(),
+            text,
+            args: [None; EVENT_ARGS],
+        };
+        for (slot, &arg) in event.args.iter_mut().zip(args) {
+            *slot = Some(arg);
         }
+        self.span.borrow_mut().events.push(event);
     }
 }
 
-impl Drop for SpanGuard {
+impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        self.tracer.finish(self.id);
+        self.tracer.finish(std::mem::take(self.span.get_mut()));
     }
 }
 
-#[derive(Clone, Debug)]
-enum MetricValue {
-    Counter(u64),
+/// One counter series: its value and whether it has been updated yet (a
+/// series resolved ahead of its first update is not exported).
+#[derive(Default, Debug)]
+struct CounterCell {
+    value: AtomicU64,
+    live: AtomicBool,
+}
+
+#[derive(Debug)]
+enum Series {
+    Counter(Arc<CounterCell>),
     Gauge(f64),
-    Histo(Histogram),
+    /// Exported once it holds an observation.
+    Histo(Arc<Mutex<Histogram>>),
+}
+
+/// A counter series resolved once by [`Metrics::counter`]: updating it is
+/// two atomic operations, with no key formatting, lookup or allocation.
+#[derive(Clone, Debug)]
+pub struct CounterHandle(Arc<CounterCell>);
+
+impl CounterHandle {
+    /// Add `by` to the counter. The series is exported from now on, even
+    /// when `by` is zero.
+    pub fn incr(&self, by: u64) {
+        self.0.value.fetch_add(by, Ordering::Relaxed);
+        self.0.live.store(true, Ordering::Relaxed);
+    }
+}
+
+/// A histogram series resolved once by [`Metrics::histogram_handle`]:
+/// recording into it takes the series' own lock and allocates nothing.
+#[derive(Clone, Debug)]
+pub struct HistogramHandle(Arc<Mutex<Histogram>>);
+
+impl HistogramHandle {
+    /// Record one observation.
+    pub fn observe(&self, v: f64) {
+        self.0.lock().record(v);
+    }
+
+    /// Record a simulated duration as fractional milliseconds.
+    pub fn observe_duration(&self, d: Duration) {
+        self.observe(d.as_millis_f64());
+    }
 }
 
 /// Metrics registry: counters, gauges, and log-bucketed histograms keyed by
 /// `name{label=value,…}`. Cheap to clone; clones share state.
+///
+/// Hot paths resolve each series once into a [`CounterHandle`] or
+/// [`HistogramHandle`]; [`Metrics::incr`] and [`Metrics::observe`] resolve
+/// on every call and serve cold paths. A resolved series appears in
+/// snapshots only after its first update.
 #[derive(Clone, Default)]
 pub struct Metrics {
-    inner: Arc<Mutex<BTreeMap<String, MetricValue>>>,
+    inner: Arc<Mutex<BTreeMap<String, Series>>>,
 }
 
 /// Render `name{k=v,…}` with labels sorted by key — the canonical series
@@ -337,34 +638,54 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// Add `by` to the counter `name{labels}`.
-    pub fn incr(&self, name: &str, labels: &[(&str, &str)], by: u64) {
+    /// Whether `self` and `other` are clones of one registry.
+    pub fn same_registry(&self, other: &Metrics) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
+    }
+
+    /// Resolve the counter `name{labels}` into a handle, registering it
+    /// (unexported until its first update) if absent.
+    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> CounterHandle {
         let key = series_key(name, labels);
         let mut inner = self.inner.lock();
-        match inner.entry(key).or_insert(MetricValue::Counter(0)) {
-            MetricValue::Counter(c) => *c += by,
+        match inner
+            .entry(key)
+            .or_insert_with(|| Series::Counter(Arc::default()))
+        {
+            Series::Counter(c) => CounterHandle(c.clone()),
             _ => panic!("metric {name} is not a counter"),
         }
+    }
+
+    /// Resolve the histogram `name{labels}` into a handle, registering it
+    /// (unexported until its first observation) if absent.
+    pub fn histogram_handle(&self, name: &str, labels: &[(&str, &str)]) -> HistogramHandle {
+        let key = series_key(name, labels);
+        let mut inner = self.inner.lock();
+        match inner
+            .entry(key)
+            .or_insert_with(|| Series::Histo(Arc::new(Mutex::new(Histogram::log_millis()))))
+        {
+            Series::Histo(h) => HistogramHandle(h.clone()),
+            _ => panic!("metric {name} is not a histogram"),
+        }
+    }
+
+    /// Add `by` to the counter `name{labels}`.
+    pub fn incr(&self, name: &str, labels: &[(&str, &str)], by: u64) {
+        self.counter(name, labels).incr(by);
     }
 
     /// Set the gauge `name{labels}` to `v`.
     pub fn gauge_set(&self, name: &str, labels: &[(&str, &str)], v: f64) {
         let key = series_key(name, labels);
-        self.inner.lock().insert(key, MetricValue::Gauge(v));
+        self.inner.lock().insert(key, Series::Gauge(v));
     }
 
     /// Record one observation (milliseconds or any unit-consistent value)
     /// into the log-bucketed histogram `name{labels}`.
     pub fn observe(&self, name: &str, labels: &[(&str, &str)], v: f64) {
-        let key = series_key(name, labels);
-        let mut inner = self.inner.lock();
-        match inner
-            .entry(key)
-            .or_insert_with(|| MetricValue::Histo(Histogram::log_millis()))
-        {
-            MetricValue::Histo(h) => h.record(v),
-            _ => panic!("metric {name} is not a histogram"),
-        }
+        self.histogram_handle(name, labels).observe(v);
     }
 
     /// Record a simulated duration (as fractional milliseconds) into the
@@ -376,7 +697,7 @@ impl Metrics {
     /// Current value of the counter `name{labels}` (0 when absent).
     pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
         match self.inner.lock().get(&series_key(name, labels)) {
-            Some(MetricValue::Counter(c)) => *c,
+            Some(Series::Counter(c)) => c.value.load(Ordering::Relaxed),
             _ => 0,
         }
     }
@@ -384,7 +705,7 @@ impl Metrics {
     /// Current value of the gauge `name{labels}`, if set.
     pub fn gauge_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
         match self.inner.lock().get(&series_key(name, labels)) {
-            Some(MetricValue::Gauge(g)) => Some(*g),
+            Some(Series::Gauge(g)) => Some(*g),
             _ => None,
         }
     }
@@ -392,23 +713,46 @@ impl Metrics {
     /// Clone of the histogram `name{labels}`, if any observation landed.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<Histogram> {
         match self.inner.lock().get(&series_key(name, labels)) {
-            Some(MetricValue::Histo(h)) => Some(h.clone()),
+            Some(Series::Histo(h)) => Some(h.lock().clone()).filter(|h| h.total() > 0),
             _ => None,
         }
     }
 
-    /// A point-in-time copy of every series, for export.
+    /// A point-in-time copy of every updated series, for export.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            series: self.inner.lock().clone(),
-        }
+        let inner = self.inner.lock();
+        let series = inner
+            .iter()
+            .filter_map(|(key, series)| {
+                let value = match series {
+                    Series::Counter(c) => c
+                        .live
+                        .load(Ordering::Relaxed)
+                        .then(|| MetricValue::Counter(c.value.load(Ordering::Relaxed)))?,
+                    Series::Gauge(g) => MetricValue::Gauge(*g),
+                    Series::Histo(h) => {
+                        let h = h.lock();
+                        (h.total() > 0).then(|| MetricValue::Histo(h.clone()))?
+                    }
+                };
+                Some((key.clone(), value))
+            })
+            .collect();
+        MetricsSnapshot { series }
     }
 }
 
 impl std::fmt::Debug for Metrics {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Metrics({} series)", self.inner.lock().len())
+        write!(f, "Metrics({} series)", self.snapshot().len())
     }
+}
+
+#[derive(Clone, Debug)]
+enum MetricValue {
+    Counter(u64),
+    Gauge(f64),
+    Histo(Histogram),
 }
 
 /// A point-in-time copy of a [`Metrics`] registry, renderable as
@@ -580,13 +924,34 @@ impl PhaseBreakdown {
 
     /// Record every phase into `metrics` as `phase_ms{phase=…,…labels}`
     /// histograms (shared by the service, the load driver, and the bench
-    /// bins so breakdowns aggregate uniformly).
+    /// bins so breakdowns aggregate uniformly). Resolves the six series on
+    /// every call; a hot path resolves them once into [`PhaseHistograms`]
+    /// and calls [`PhaseBreakdown::record_to`].
     pub fn record(&self, metrics: &Metrics, labels: &[(&str, &str)]) {
-        for (label, d) in self.phases() {
-            let mut all: Vec<(&str, &str)> = labels.to_vec();
-            all.push(("phase", label));
-            metrics.observe_duration("phase_ms", &all, d);
+        self.record_to(&PhaseHistograms::resolve(metrics, labels));
+    }
+
+    /// Record every phase into its pre-resolved histogram.
+    pub fn record_to(&self, histograms: &PhaseHistograms) {
+        for ((_, d), h) in self.phases().into_iter().zip(&histograms.0) {
+            h.observe_duration(d);
         }
+    }
+}
+
+/// The six `phase_ms{phase=…,…labels}` histograms of one label set, in
+/// [`PHASES`] order, resolved once for [`PhaseBreakdown::record_to`].
+#[derive(Clone, Debug)]
+pub struct PhaseHistograms([HistogramHandle; 6]);
+
+impl PhaseHistograms {
+    /// Resolve the phase histograms labelled `labels` plus `phase=…`.
+    pub fn resolve(metrics: &Metrics, labels: &[(&str, &str)]) -> PhaseHistograms {
+        PhaseHistograms(PHASES.map(|phase| {
+            let mut all: Vec<(&str, &str)> = labels.to_vec();
+            all.push(("phase", phase));
+            metrics.histogram_handle("phase_ms", &all)
+        }))
     }
 }
 
@@ -738,7 +1103,7 @@ mod tests {
                     child.event("locks-acquired");
                     clock.advance(Duration::from_millis(2));
                 }
-                obs.tracer.event("after-child");
+                root.event("after-child");
             }
             obs.tracer.render()
         };
@@ -755,12 +1120,47 @@ mod tests {
     fn tracer_capacity_bounds_memory() {
         let obs = Obs::new(SimClock::new(), 1);
         obs.tracer.set_capacity(4);
-        for i in 0..10 {
-            let _s = obs.tracer.span(format!("s{i}"));
+        for name in ["s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9"] {
+            let _s = obs.tracer.span(name);
         }
         assert_eq!(obs.tracer.finished_count(), 10);
         assert_eq!(obs.tracer.finished_since(0).len(), 4);
         assert!(obs.tracer.render().contains("dropped=6"));
+    }
+
+    #[test]
+    fn retained_spans_keep_their_attrs_and_events_across_wraps() {
+        // A small capacity wraps the span ring many times and makes the
+        // attribute and event logs grow; every retained span must still
+        // read back exactly its own attributes and events.
+        let clock = SimClock::new();
+        let obs = Obs::new(clock.clone(), 3);
+        obs.tracer.set_capacity(5);
+        for i in 0..100u64 {
+            let s = obs.tracer.span("op");
+            for k in 0..i % 4 {
+                s.attr("k", k);
+            }
+            s.attr("i", i);
+            if i % 3 == 0 {
+                s.event_args("tick", &[("i", i)]);
+            }
+            clock.advance(Duration::from_nanos(1));
+        }
+        assert_eq!(obs.tracer.finished_count(), 100);
+        let kept = obs.tracer.finished_since(0);
+        assert!((2..=5).contains(&kept.len()), "{}", kept.len());
+        assert_eq!(kept.last().map(|s| s.id.raw()), Some(100));
+        for span in &kept {
+            let i = span.id.raw() - 1;
+            assert_eq!(span.attrs.len() as u64, i % 4 + 1);
+            assert_eq!(span.attrs.last(), Some(&("i", AttrValue::U64(i))));
+            assert_eq!(span.events.len(), usize::from(i % 3 == 0));
+        }
+        let text = obs.tracer.render();
+        assert!(text.contains(&format!("dropped={}", 100 - kept.len())));
+        assert!(text.contains("op t=99+1ns k=0 k=1 k=2 i=99"), "{text}");
+        assert!(text.contains("@99 tick i=99"), "{text}");
     }
 
     #[test]

@@ -129,12 +129,12 @@ impl FoldedProfile {
         let mut prof = FoldedProfile::default();
         for s in spans {
             // Build the name stack root→self by walking retained parents.
-            let mut stack: Vec<&str> = vec![&s.name];
+            let mut stack: Vec<&str> = vec![s.name];
             let mut cur = s.parent;
             while let Some(p) = cur {
                 match by_id.get(&p.raw()) {
                     Some(ps) => {
-                        stack.push(&ps.name);
+                        stack.push(ps.name);
                         cur = ps.parent;
                     }
                     None => break,

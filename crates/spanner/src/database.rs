@@ -17,7 +17,10 @@ use parking_lot::{Mutex, RwLock};
 use simkit::fault::{FaultInjector, FaultKind};
 use simkit::history::{hash_bytes, HistoryEvent, HistoryRecorder};
 use simkit::prof;
-use simkit::{CrashPoints, Duration, Obs, SimClock, SimDisk, Timestamp, TrueTime};
+use simkit::{
+    CounterHandle, CrashPoints, Duration, HistogramHandle, Obs, SimClock, SimDisk, Timestamp,
+    TrueTime,
+};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, PoisonError};
@@ -106,7 +109,7 @@ struct Inner {
     options: SpannerOptions,
     failures: FailureInjector,
     fault_injector: Mutex<Option<Arc<FaultInjector>>>,
-    obs: Mutex<Option<Obs>>,
+    obs: Mutex<Option<Arc<Instruments>>>,
     commits: AtomicU64,
     aborts: AtomicU64,
     /// The durable medium redo records are appended to; `None` runs the
@@ -127,8 +130,9 @@ struct Inner {
     history: Mutex<Option<Arc<HistoryRecorder>>>,
     /// Oracle mutation toggle: serve snapshot reads from this much earlier
     /// than the requested timestamp while *recording* the requested one — a
-    /// deliberate staleness bug the oracle must catch.
-    oracle_stale_reads: Mutex<Option<Duration>>,
+    /// deliberate staleness bug the oracle must catch. Nanoseconds; 0 is
+    /// off. Read on every snapshot read, so an atomic rather than a lock.
+    oracle_stale_reads_ns: AtomicU64,
     /// Commit timestamps assigned but not yet applied to the stores. A
     /// strong read waits until none at or below its timestamp remains
     /// (Spanner's safe time), so it never sees half a commit.
@@ -139,6 +143,37 @@ struct Inner {
     /// every redo-log fsync, modeling a degraded device. The bench-gate
     /// mutation proof seeds this and asserts the gate fails.
     fsync_padding_ns: AtomicU64,
+}
+
+/// The attached observability handle plus the commit path's series,
+/// resolved once when the handle is attached.
+struct Instruments {
+    obs: Obs,
+    commits: CounterHandle,
+    aborts: CounterHandle,
+    redo_prepares: CounterHandle,
+    redo_outcomes: CounterHandle,
+    redo_fsyncs: CounterHandle,
+    redo_fsync_failures: CounterHandle,
+    lock_wait_ms: HistogramHandle,
+    commit_wait_ms: HistogramHandle,
+}
+
+impl Instruments {
+    fn new(obs: Obs) -> Instruments {
+        let m = &obs.metrics;
+        Instruments {
+            commits: m.counter("spanner.commits", &[]),
+            aborts: m.counter("spanner.aborts", &[]),
+            redo_prepares: m.counter("spanner.redo.prepares", &[]),
+            redo_outcomes: m.counter("spanner.redo.outcomes", &[]),
+            redo_fsyncs: m.counter("spanner.redo.fsyncs", &[]),
+            redo_fsync_failures: m.counter("spanner.redo.fsync_failures", &[]),
+            lock_wait_ms: m.histogram_handle("spanner.lock_wait_ms", &[]),
+            commit_wait_ms: m.histogram_handle("spanner.commit_wait_ms", &[]),
+            obs,
+        }
+    }
 }
 
 /// Removes an assigned commit timestamp from [`Inner::unapplied`] once the
@@ -189,7 +224,7 @@ impl SpannerDatabase {
                 min_live_txn: AtomicU64::new(0),
                 orphan_locks: AtomicU64::new(0),
                 history: Mutex::new(None),
-                oracle_stale_reads: Mutex::new(None),
+                oracle_stale_reads_ns: AtomicU64::new(0),
                 unapplied: Mutex::new(BTreeSet::new()),
                 applied: Condvar::new(),
                 fsync_padding_ns: AtomicU64::new(0),
@@ -426,11 +461,15 @@ impl SpannerDatabase {
     /// Install (or clear) the observability handle. Commit phases, redo
     /// logging, tablet splits, and recovery then emit spans and metrics.
     pub fn set_obs(&self, obs: Option<Obs>) {
-        *self.inner.obs.lock() = obs;
+        *self.inner.obs.lock() = obs.map(|o| Arc::new(Instruments::new(o)));
     }
 
     /// The installed observability handle, if any.
     pub fn obs(&self) -> Option<Obs> {
+        self.inner.obs.lock().as_ref().map(|i| i.obs.clone())
+    }
+
+    fn instruments(&self) -> Option<Arc<Instruments>> {
         self.inner.obs.lock().clone()
     }
 
@@ -451,16 +490,14 @@ impl SpannerDatabase {
     /// one. A seeded staleness bug the consistency oracle must detect —
     /// `None` restores correct behaviour.
     pub fn oracle_serve_stale_reads(&self, delta: Option<Duration>) {
-        *self.inner.oracle_stale_reads.lock() = delta;
+        let ns = delta.map_or(0, |d| d.as_nanos());
+        self.inner.oracle_stale_reads_ns.store(ns, Ordering::SeqCst);
     }
 
     /// The timestamp snapshot reads are actually served at: the requested
     /// one unless the stale-read oracle mutation is active.
     fn serve_ts(&self, ts: Timestamp) -> Timestamp {
-        match *self.inner.oracle_stale_reads.lock() {
-            Some(delta) => Timestamp(ts.0.saturating_sub(delta.0)),
-            None => ts,
-        }
+        Timestamp(ts.0.saturating_sub(self.inner.oracle_stale_reads_ns.load(Ordering::SeqCst)))
     }
 
     /// Record snapshot-read observations, if a recorder is attached.
@@ -695,8 +732,8 @@ impl SpannerDatabase {
             txn.closed = true;
             self.inner.locks.release_all(txn.id);
             self.inner.aborts.fetch_add(1, Ordering::Relaxed);
-            if let Some(obs) = self.obs() {
-                obs.metrics.incr("spanner.aborts", &[], 1);
+            if let Some(i) = self.instruments() {
+                i.aborts.incr(1);
             }
         }
     }
@@ -718,8 +755,9 @@ impl SpannerDatabase {
             return Err(SpannerError::TxnClosed(txn.id));
         }
         self.fence(&txn)?;
-        let obs = self.obs();
-        let span = obs.as_ref().map(|o| {
+        let instruments = self.instruments();
+        let obs = instruments.as_ref().map(|i| &i.obs);
+        let span = obs.map(|o| {
             let s = o.tracer.span("spanner.commit");
             s.attr("txn", txn.id.0);
             s.attr("mutations", txn.mutations.len());
@@ -741,7 +779,7 @@ impl SpannerDatabase {
         // self-time for `spanner.lock.acquire` reconciles against the
         // breakdown's lock_wait phase (an aborted acquisition still records
         // the time waited so far when the guard drops on the error return).
-        let lock_span = obs.as_ref().map(|o| {
+        let lock_span = obs.map(|o| {
             let s = o.tracer.span("spanner.lock.acquire");
             s.attr("cells", txn.mutations.len());
             s
@@ -761,7 +799,7 @@ impl SpannerDatabase {
         drop(lock_span);
         let mut cpu_charged = Duration::ZERO;
         if let Some(s) = &span {
-            s.event(format!("locks-acquired n={}", txn.mutations.len()));
+            s.event_args("locks-acquired", &[("n", txn.mutations.len() as u64)]);
         }
 
         // Phase 2: assign a TrueTime commit timestamp inside the window,
@@ -905,7 +943,7 @@ impl SpannerDatabase {
                     let encoded = record.encode();
                     {
                         let append_span =
-                            obs.as_ref().map(|o| o.tracer.span("spanner.redo.append"));
+                            obs.map(|o| o.tracer.span("spanner.redo.append"));
                         disk.append(&log, &encoded);
                         let c = prof::costs::redo_append(encoded.len());
                         self.inner.truetime.clock().advance(c);
@@ -920,7 +958,7 @@ impl SpannerDatabase {
                     if self.crash_if_armed("commit-prepare-unsynced") {
                         return Err(SpannerError::UnknownOutcome);
                     }
-                    let fsync_span = obs.as_ref().map(|o| o.tracer.span("spanner.redo.fsync"));
+                    let fsync_span = obs.map(|o| o.tracer.span("spanner.redo.fsync"));
                     let c = self.charge_fsync();
                     cpu_charged += c;
                     if disk.fsync(&log).is_err() {
@@ -931,19 +969,22 @@ impl SpannerDatabase {
                         // participants' prepares may be durable but have no
                         // outcome, so recovery discards them.
                         disk.discard_unsynced(&log);
-                        if let Some(o) = &obs {
-                            o.metrics.incr("spanner.redo.fsync_failures", &[], 1);
+                        if let Some(i) = &instruments {
+                            i.redo_fsync_failures.incr(1);
                         }
                         self.abort(&mut txn);
                         return Err(SpannerError::Unavailable("redo-log fsync failed"));
                     }
                     drop(fsync_span);
-                    if let Some(o) = &obs {
-                        o.metrics.incr("spanner.redo.prepares", &[], 1);
-                        o.metrics.incr("spanner.redo.fsyncs", &[], 1);
+                    if let Some(i) = &instruments {
+                        i.redo_prepares.incr(1);
+                        i.redo_fsyncs.incr(1);
                     }
                     if let Some(s) = &span {
-                        s.event(format!("prepare-durable table={tid} tablet={tablet_idx}"));
+                        s.event_args(
+                            "prepare-durable",
+                            &[("table", tid.into()), ("tablet", tablet_idx as u64)],
+                        );
                     }
                     // A crash after the first of several prepares leaves a
                     // prepared-but-undecided participant for recovery to
@@ -963,7 +1004,7 @@ impl SpannerDatabase {
                 };
                 let encoded = outcome.encode();
                 {
-                    let append_span = obs.as_ref().map(|o| o.tracer.span("spanner.redo.append"));
+                    let append_span = obs.map(|o| o.tracer.span("spanner.redo.append"));
                     disk.append(OUTCOMES_LOG, &encoded);
                     let c = prof::costs::redo_append(encoded.len());
                     self.inner.truetime.clock().advance(c);
@@ -977,7 +1018,7 @@ impl SpannerDatabase {
                 if self.crash_if_armed("commit-outcome-unsynced") {
                     return Err(SpannerError::UnknownOutcome);
                 }
-                let fsync_span = obs.as_ref().map(|o| o.tracer.span("spanner.redo.fsync"));
+                let fsync_span = obs.map(|o| o.tracer.span("spanner.redo.fsync"));
                 let c = self.charge_fsync();
                 cpu_charged += c;
                 if disk.fsync(OUTCOMES_LOG).is_err() {
@@ -989,16 +1030,16 @@ impl SpannerDatabase {
                     // aborted transaction after a crash (its prepares are
                     // already durable). Discard the tail before aborting.
                     disk.discard_unsynced(OUTCOMES_LOG);
-                    if let Some(o) = &obs {
-                        o.metrics.incr("spanner.redo.fsync_failures", &[], 1);
+                    if let Some(i) = &instruments {
+                        i.redo_fsync_failures.incr(1);
                     }
                     self.abort(&mut txn);
                     return Err(SpannerError::Unavailable("redo-log fsync failed"));
                 }
                 drop(fsync_span);
-                if let Some(o) = &obs {
-                    o.metrics.incr("spanner.redo.outcomes", &[], 1);
-                    o.metrics.incr("spanner.redo.fsyncs", &[], 1);
+                if let Some(i) = &instruments {
+                    i.redo_outcomes.incr(1);
+                    i.redo_fsyncs.incr(1);
                 }
                 if let Some(s) = &span {
                     s.event("outcome-durable");
@@ -1047,7 +1088,7 @@ impl SpannerDatabase {
 
         // Phase 4: commit wait (external consistency), then release locks.
         // A TrueTime uncertainty spike widens ε, stretching the wait.
-        let wait_span = obs.as_ref().map(|o| o.tracer.span("spanner.commit_wait"));
+        let wait_span = obs.map(|o| o.tracer.span("spanner.commit_wait"));
         let wait_start = self.inner.truetime.clock().now();
         if self.inject(FaultKind::TtUncertaintySpike, "commit-wait") {
             let spike = self
@@ -1061,7 +1102,7 @@ impl SpannerDatabase {
         drop(wait_span);
         txn.closed = true;
         {
-            let release_span = obs.as_ref().map(|o| o.tracer.span("spanner.lock.release"));
+            let release_span = obs.map(|o| o.tracer.span("spanner.lock.release"));
             self.inner.locks.release_all(txn.id);
             let c = prof::costs::LOCK_RELEASE * txn.mutations.len().max(1) as u64;
             self.inner.truetime.clock().advance(c);
@@ -1071,10 +1112,10 @@ impl SpannerDatabase {
             }
         }
         self.inner.commits.fetch_add(1, Ordering::Relaxed);
-        if let Some(o) = &obs {
-            o.metrics.incr("spanner.commits", &[], 1);
-            o.metrics.observe_duration("spanner.lock_wait_ms", &[], lock_wait);
-            o.metrics.observe_duration("spanner.commit_wait_ms", &[], commit_wait);
+        if let Some(i) = &instruments {
+            i.commits.incr(1);
+            i.lock_wait_ms.observe_duration(lock_wait);
+            i.commit_wait_ms.observe_duration(commit_wait);
         }
         if let Some(s) = &span {
             s.attr("participants", participants);

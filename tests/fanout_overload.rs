@@ -257,3 +257,51 @@ fn overload_reset_of_one_multiplexed_listener_leaves_the_sibling_alone() {
         "sibling keeps streaming after the shed: {events:?}"
     );
 }
+
+/// Regression: the stall clock measures how long an event has waited, not
+/// how long ago the client last polled. A healthy listener idle for longer
+/// than the stall deadline must not be shed by the first event that reaches
+/// it, as long as it polls that event within the deadline.
+#[test]
+fn idle_listener_is_not_shed_by_its_first_event() {
+    let clock = SimClock::new();
+    clock.advance(Duration::from_secs(1));
+    let spanner = SpannerDatabase::new(clock.clone());
+    let db = FirestoreDatabase::create_default(spanner.clone());
+    let cache = RealtimeCache::new(spanner.truetime().clone(), RealtimeOptions::default());
+    db.set_observer(cache.observer_for(db.directory()));
+    let deadline = RealtimeOptions::default().fanout.stall_deadline;
+
+    let query = Query::parse("/scores").unwrap();
+    let ts = db.strong_read_ts();
+    let conn = cache.connect();
+    let qid = conn.listen(db.directory(), query, Vec::new(), ts);
+    conn.poll(); // the initial snapshot
+
+    // Idle for 60 simulated seconds, twice the deadline: nothing to poll.
+    clock.advance(Duration::from_secs(60));
+    assert!(Duration::from_secs(60) > deadline);
+    cache.tick();
+    db.commit_writes(
+        vec![Write::set(doc("/scores/a"), [("v", Value::Int(1))])],
+        &Caller::Service,
+    )
+    .unwrap();
+    cache.tick();
+    clock.advance(Duration::from_secs(1));
+    cache.tick();
+
+    let events = conn.poll();
+    assert!(
+        events.iter().any(|e| matches!(
+            e,
+            ListenEvent::Snapshot { query, changes, .. } if *query == qid && changes.len() == 1
+        )),
+        "the first event after the idle spell is delivered: {events:?}"
+    );
+    assert!(
+        !events.iter().any(|e| matches!(e, ListenEvent::Reset { .. })),
+        "a listener that polls within the deadline is not reset: {events:?}"
+    );
+    assert_eq!(cache.stats().resets_overload, 0);
+}
