@@ -28,8 +28,8 @@
 
 use bench::banner;
 use firestore_core::database::doc;
-use firestore_core::{Caller, Consistency, FirestoreDatabase, Query, Value, Write};
-use realtime::{RealtimeCache, RealtimeOptions};
+use firestore_core::{Caller, FirestoreDatabase, Query, Value, Write};
+use realtime::{ListenSnapshot, RealtimeCache, RealtimeOptions};
 use simkit::{Duration, SimClock, SimDisk};
 use spanner::SpannerDatabase;
 use std::time::Instant;
@@ -81,16 +81,9 @@ fn measure(listeners: usize) -> ScaleRow {
     let conns: Vec<realtime::Connection> = (0..listeners)
         .map(|_| {
             let conn = cache.connect();
-            let ts = db.strong_read_ts();
-            let docs = db
-                .run_query(
-                    &query.without_window(),
-                    Consistency::AtTimestamp(ts),
-                    &Caller::Service,
-                )
+            ListenSnapshot::read(&db, query.clone(), &Caller::Service)
                 .unwrap()
-                .documents;
-            conn.listen(db.directory(), query.clone(), docs, ts);
+                .listen(&conn);
             conn.poll(); // drain the initial snapshot
             conn
         })
@@ -219,16 +212,9 @@ fn profile_pass(listeners: usize) {
     let conns: Vec<realtime::Connection> = (0..listeners)
         .map(|_| {
             let conn = cache.connect();
-            let ts = db.strong_read_ts();
-            let docs = db
-                .run_query(
-                    &query.without_window(),
-                    Consistency::AtTimestamp(ts),
-                    &Caller::Service,
-                )
+            ListenSnapshot::read(&db, query.clone(), &Caller::Service)
                 .unwrap()
-                .documents;
-            conn.listen(db.directory(), query.clone(), docs, ts);
+                .listen(&conn);
             conn.poll();
             conn
         })

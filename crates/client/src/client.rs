@@ -20,9 +20,12 @@ use firestore_core::{
     Precondition, Query, RetryBudget, RetryPolicy, Value, Write,
 };
 use parking_lot::Mutex;
-use realtime::{Connection, ListenEvent, RealtimeCache, ResetCause};
+use realtime::{
+    Connection, ListenEvent, ListenSnapshot, RealtimeCache, ResetCause, OVERLOAD_RESUBSCRIBE_DELAY,
+};
 use rules::AuthContext;
 use simkit::Timestamp;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -95,16 +98,12 @@ struct ClientState {
     /// Errors from asynchronously rejected queued writes.
     write_errors: Vec<ClientError>,
     /// Listeners shed by the cache under overload, with the number of
-    /// [`FirestoreClient::sync`] calls still to skip before re-seeding.
-    /// Immediate re-subscription would re-create the pressure that shed
-    /// them; fault resets recover without delay.
+    /// [`FirestoreClient::sync`] calls still to skip before re-seeding
+    /// ([`OVERLOAD_RESUBSCRIBE_DELAY`] when the reset arrives).
     deferred_reseeds: Vec<(ListenerId, u32)>,
     /// Overload (voluntary) resets observed, for tests and workloads.
     overload_resets: u64,
 }
-
-/// `sync()` calls an overload-shed listener sits out before re-seeding.
-const OVERLOAD_RESEED_DELAY_SYNCS: u32 = 2;
 
 /// A Mobile/Web SDK client instance (one end-user device).
 pub struct FirestoreClient {
@@ -514,7 +513,11 @@ impl FirestoreClient {
 
     /// Register an `onSnapshot` listener. The initial snapshot is queued
     /// immediately (from the server when connected, from the cache
-    /// otherwise).
+    /// otherwise). After that the listener delivers only deltas of its
+    /// window: a re-seed after a reconnect or a reset reconciles the
+    /// listener's view with the fresh server snapshot, so unchanged
+    /// documents are not announced again, and a re-seed that changes only
+    /// the snapshot's metadata (`from_cache`) delivers nothing.
     pub fn listen(&self, query: Query) -> Result<ListenerId, ClientError> {
         let id = {
             let mut st = self.state.lock();
@@ -524,7 +527,7 @@ impl FirestoreClient {
         };
         let connected = self.state.lock().connected;
         if connected {
-            self.seed_listener_from_server(id, query)?;
+            self.seed_listener(id, query)?;
         } else {
             let mut st = self.state.lock();
             let mut l = ListenerState::new(id, query, &st.store);
@@ -534,17 +537,18 @@ impl FirestoreClient {
         Ok(id)
     }
 
-    fn seed_listener_from_server(&self, id: ListenerId, query: Query) -> Result<(), ClientError> {
-        let snapshot_ts = self.db.strong_read_ts();
-        let result = self.db.run_query(
-            &query.without_window(),
-            Consistency::AtTimestamp(snapshot_ts),
-            &self.caller(),
-        )?;
+    /// The one listener path, shared by [`FirestoreClient::listen`] and
+    /// every re-seed (reconnect, fault reset, overload back-off): read the
+    /// listen snapshot, fold it into the local store, then seed a new
+    /// listener from the store or reconcile an existing one's view with it,
+    /// and subscribe on the connection.
+    fn seed_listener(&self, id: ListenerId, query: Query) -> Result<(), ClientError> {
+        let snapshot = ListenSnapshot::read(&self.db, query.clone(), &self.caller())?;
         let mut st = self.state.lock();
+        let st = &mut *st;
         // Detect server-side deletions for documents we previously cached
         // in this query's collection.
-        let fresh: HashSet<&DocumentName> = result.documents.iter().map(|d| &d.name).collect();
+        let fresh: HashSet<&DocumentName> = snapshot.documents().iter().map(|d| &d.name).collect();
         let stale: Vec<DocumentName> = st
             .store
             .known_names()
@@ -556,35 +560,31 @@ impl FirestoreClient {
                 st.store.apply_server(name, None);
             }
         }
-        for doc in &result.documents {
+        for doc in snapshot.documents() {
             st.store.apply_server(doc.name.clone(), Some(doc.clone()));
         }
-        let mut l = ListenerState::new(id, query.clone(), &st.store);
-        l.emit_initial(false);
-        if let Some(conn) = &st.conn {
-            let qid = conn.listen(self.db.directory(), query, result.documents, snapshot_ts);
-            l.server_query = Some(qid);
-        }
-        st.listeners.insert(id, l);
+        let l = match st.listeners.entry(id) {
+            Entry::Occupied(e) => {
+                let l = e.into_mut();
+                l.reconcile(&st.store);
+                l
+            }
+            Entry::Vacant(e) => {
+                let mut l = ListenerState::new(id, query, &st.store);
+                l.emit_initial(false);
+                e.insert(l)
+            }
+        };
+        l.server_query = st.conn.as_ref().map(|conn| snapshot.listen(conn));
         Ok(())
     }
 
     fn reseed_listener(&self, id: ListenerId) -> Result<(), ClientError> {
-        let query = {
-            let mut st = self.state.lock();
-            let Some(old) = st.listeners.remove(&id) else {
-                return Ok(());
-            };
-            let query = old.query.clone();
-            // Keep the old view to diff against: re-insert a fresh listener
-            // below; deltas come from the re-applied names.
-            drop(old);
-            query
+        let query = match self.state.lock().listeners.get(&id) {
+            Some(l) => l.query.clone(),
+            None => return Ok(()),
         };
-        // Build a fresh server-backed listener but compute deltas against
-        // what the application last saw: re-create with the same id; the
-        // initial snapshot after reconnect is the reconciled view.
-        self.seed_listener_from_server(id, query)
+        self.seed_listener(id, query)
     }
 
     /// Stop a listener.
@@ -663,8 +663,7 @@ impl FirestoreClient {
                                 ResetCause::Fault => resets.push(id),
                                 ResetCause::Overload => {
                                     st.overload_resets += 1;
-                                    st.deferred_reseeds
-                                        .push((id, OVERLOAD_RESEED_DELAY_SYNCS));
+                                    st.deferred_reseeds.push((id, OVERLOAD_RESUBSCRIBE_DELAY));
                                 }
                             }
                         }
@@ -972,6 +971,142 @@ mod tests {
         assert!(ids.contains(&"3"), "{ids:?}");
         assert!(ids.contains(&"local"), "{ids:?}");
         assert!(!ids.contains(&"2"), "{ids:?}");
+    }
+
+    /// Every change a listener delivered since its last drain, as
+    /// `(kind, document id)` pairs.
+    fn delivered(c: &FirestoreClient, l: ListenerId) -> Vec<(realtime::ChangeKind, String)> {
+        c.take_snapshots(l)
+            .iter()
+            .flat_map(|s| s.changes.iter())
+            .map(|ch| (ch.kind, ch.doc.name.id().to_string()))
+            .collect()
+    }
+
+    #[test]
+    fn reconnect_without_remote_change_emits_nothing() {
+        let (db, rtc) = setup();
+        let alice = client(&db, &rtc);
+        alice.set("/todos/1", [("t", Value::from("a"))]).unwrap();
+        let l = alice.listen(Query::parse("/todos").unwrap()).unwrap();
+        assert_eq!(
+            delivered(&alice, l),
+            [(realtime::ChangeKind::Added, "1".into())]
+        );
+
+        alice.disconnect();
+        alice.reconnect().unwrap();
+        assert!(
+            alice.take_snapshots(l).is_empty(),
+            "a reseed with nothing changed must not re-announce the window"
+        );
+    }
+
+    #[test]
+    fn reconnect_delivers_only_the_remote_deltas() {
+        use realtime::ChangeKind::{Added, Removed};
+        let (db, rtc) = setup();
+        let alice = client(&db, &rtc);
+        let bob = client(&db, &rtc);
+        bob.set("/todos/1", [("t", Value::from("keep"))]).unwrap();
+        bob.set("/todos/2", [("t", Value::from("gone"))]).unwrap();
+        let l = alice.listen(Query::parse("/todos").unwrap()).unwrap();
+        alice.take_snapshots(l);
+
+        alice.disconnect();
+        bob.delete("/todos/2").unwrap();
+        bob.set("/todos/3", [("t", Value::from("new"))]).unwrap();
+        alice.reconnect().unwrap();
+        let mut got = delivered(&alice, l);
+        got.sort_by(|a, b| a.1.cmp(&b.1));
+        assert_eq!(got, [(Removed, "2".into()), (Added, "3".into())]);
+    }
+
+    #[test]
+    fn fault_reset_does_not_reannounce_unchanged_documents() {
+        let (db, rtc) = setup();
+        let alice = client(&db, &rtc);
+        alice.set("/todos/1", [("t", Value::from("a"))]).unwrap();
+        alice.set("/todos/2", [("t", Value::from("b"))]).unwrap();
+        let l = alice.listen(Query::parse("/todos").unwrap()).unwrap();
+        alice.take_snapshots(l);
+
+        // An unknown-outcome commit puts the range out of sync: the cache
+        // resets the listener and the next sync re-seeds it.
+        db.spanner()
+            .inject_commit_failure(spanner::SpannerError::UnknownOutcome);
+        let err = db
+            .commit_writes(
+                vec![Write::set(docname("/todos/x"), [("t", Value::from("x"))])],
+                &Caller::Service,
+            )
+            .unwrap_err();
+        assert!(matches!(err, FirestoreError::Unknown(_)));
+        rtc.tick();
+        alice.sync().unwrap();
+        assert_eq!(rtc.stats().resets_fault, 1);
+        assert_eq!(rtc.stats().active_queries, 1, "re-subscribed at once");
+        assert!(
+            delivered(&alice, l).is_empty(),
+            "the reset must not re-announce /todos/1 and /todos/2"
+        );
+
+        // The re-seeded listener streams again.
+        db.commit_writes(
+            vec![Write::set(docname("/todos/3"), [("t", Value::from("c"))])],
+            &Caller::Service,
+        )
+        .unwrap();
+        rtc.tick();
+        alice.sync().unwrap();
+        assert_eq!(
+            delivered(&alice, l),
+            [(realtime::ChangeKind::Added, "3".into())]
+        );
+    }
+
+    #[test]
+    fn overload_reset_backs_off_then_resubscribes_once() {
+        let (db, rtc) = setup();
+        let clock = db.spanner().truetime().clock().clone();
+        let alice = client(&db, &rtc);
+        let bob = client(&db, &rtc);
+        bob.set("/todos/1", [("t", Value::from("a"))]).unwrap();
+        let l = alice.listen(Query::parse("/todos").unwrap()).unwrap();
+        alice.take_snapshots(l);
+
+        // Alice stops syncing with a delta queued: past the stall deadline
+        // the cache sheds her listener and drops the delta.
+        bob.set("/todos/2", [("t", Value::from("b"))]).unwrap();
+        rtc.tick();
+        clock.advance(RealtimeOptions::default().fanout.stall_deadline + Duration::from_secs(1));
+        rtc.tick();
+        alice.sync().unwrap();
+        assert_eq!(alice.overload_resets(), 1);
+        assert_eq!(rtc.stats().resets_overload, 1);
+
+        // Backing off: no re-subscription for the back-off number of syncs.
+        for i in 0..realtime::OVERLOAD_RESUBSCRIBE_DELAY {
+            alice.sync().unwrap();
+            assert_eq!(
+                rtc.stats().active_queries,
+                0,
+                "re-subscribed during back-off sync {i}"
+            );
+        }
+        // The next sync re-subscribes, once, and recovers the dropped delta
+        // without re-announcing what was delivered before the shed.
+        alice.sync().unwrap();
+        assert_eq!(rtc.stats().active_queries, 1);
+        assert_eq!(
+            delivered(&alice, l),
+            [(realtime::ChangeKind::Added, "2".into())]
+        );
+        for _ in 0..3 {
+            alice.sync().unwrap();
+        }
+        assert_eq!(rtc.stats().active_queries, 1, "re-subscribed exactly once");
+        assert!(delivered(&alice, l).is_empty());
     }
 
     #[test]

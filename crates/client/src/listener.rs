@@ -8,7 +8,7 @@
 //! acknowledged) writes, and for post-reconnect reconciliation.
 
 use crate::store::LocalStore;
-use firestore_core::matching::{matches_document, order_key};
+use firestore_core::matching::{apply_window, matches_document, order_key};
 use firestore_core::observer::DocumentChange;
 use firestore_core::{Document, DocumentName, Query};
 use realtime::view::QueryView;
@@ -83,10 +83,22 @@ impl ListenerState {
             })
             .collect();
         let deltas = self.view.apply(&changes);
-        if !deltas.is_empty() {
+        self.push(deltas, from_cache);
+    }
+
+    /// Reconcile the view with the merged store after a re-seed
+    /// ([`QueryView::catch_up`]) and queue a snapshot of the window's
+    /// deltas, if there are any.
+    pub fn reconcile(&mut self, store: &LocalStore) {
+        let deltas = self.view.catch_up(local_results(&self.query, store));
+        self.push(deltas, false);
+    }
+
+    fn push(&mut self, changes: Vec<DocChangeEvent>, from_cache: bool) {
+        if !changes.is_empty() {
             self.out.push(ClientSnapshot {
                 listener: self.id,
-                changes: deltas,
+                changes,
                 documents: self.view.visible(),
                 from_cache,
             });
@@ -113,11 +125,12 @@ pub fn local_results(query: &Query, store: &LocalStore) -> Vec<Document> {
         }
     }
     matched.sort_by(|a, b| a.0.cmp(&b.0));
-    let it = matched.into_iter().map(|(_, d)| d).skip(query.offset);
-    match query.limit {
-        Some(l) => it.take(l).collect(),
-        None => it.collect(),
-    }
+    apply_window(
+        matched.into_iter().map(|(_, d)| d),
+        query.offset,
+        query.limit,
+    )
+    .collect()
 }
 
 #[cfg(test)]

@@ -69,7 +69,7 @@ pub fn eval_query_at(
         .filter(|doc| matching::matches_document(query, doc))
         .collect();
     docs.sort_by_cached_key(|doc| matching::order_key(query, doc));
-    matching::apply_window(docs, query.offset, query.limit)
+    matching::apply_window(docs, query.offset, query.limit).collect()
 }
 
 fn digests(docs: &[Document]) -> Vec<(String, u64)> {

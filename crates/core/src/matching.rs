@@ -92,13 +92,19 @@ pub fn order_key(query: &Query, doc: &Document) -> Option<Vec<u8>> {
     Some(key)
 }
 
-/// Apply offset/limit to an ordered result list (a helper shared by views).
-pub fn apply_window<T>(items: Vec<T>, offset: usize, limit: Option<usize>) -> Vec<T> {
-    let it = items.into_iter().skip(offset);
-    match limit {
-        Some(l) => it.take(l).collect(),
-        None => it.collect(),
-    }
+/// Apply offset/limit to an ordered result sequence: the one windowing
+/// implementation, shared by the real-time views, the client's local query
+/// engine and the oracle's model. Lazy, so a view that windows borrowed
+/// documents clones only the window.
+pub fn apply_window<I: IntoIterator>(
+    items: I,
+    offset: usize,
+    limit: Option<usize>,
+) -> impl Iterator<Item = I::Item> {
+    items
+        .into_iter()
+        .skip(offset)
+        .take(limit.unwrap_or(usize::MAX))
 }
 
 #[cfg(test)]
@@ -230,10 +236,11 @@ mod tests {
 
     #[test]
     fn window_application() {
-        let items = vec![1, 2, 3, 4, 5];
-        assert_eq!(apply_window(items.clone(), 0, Some(2)), vec![1, 2]);
-        assert_eq!(apply_window(items.clone(), 2, Some(2)), vec![3, 4]);
-        assert_eq!(apply_window(items.clone(), 4, None), vec![5]);
-        assert_eq!(apply_window(items, 9, Some(2)), Vec::<i32>::new());
+        let items = [1, 2, 3, 4, 5];
+        let window = |offset, limit| apply_window(items, offset, limit).collect::<Vec<i32>>();
+        assert_eq!(window(0, Some(2)), vec![1, 2]);
+        assert_eq!(window(2, Some(2)), vec![3, 4]);
+        assert_eq!(window(4, None), vec![5]);
+        assert_eq!(window(9, Some(2)), Vec::<i32>::new());
     }
 }

@@ -4,9 +4,9 @@
 //! The request/response flow mirrors the paper:
 //!
 //! 1. a client opens a [`Connection`] (the long-lived Frontend connection),
-//! 2. the caller runs the query on the Backend and registers it via
-//!    [`Connection::listen`] with the initial snapshot and its timestamp
-//!    (the query's *max-commit-version*),
+//! 2. the caller runs the query on the Backend and registers it with the
+//!    initial snapshot and its timestamp (the query's
+//!    *max-commit-version*) — one handshake, [`ListenSnapshot`],
 //! 3. the connection subscribes to every Changelog/Matcher task pair whose
 //!    document-name ranges cover the query's result set,
 //! 4. the write path's Prepare/Accept two-phase commit feeds committed
@@ -17,6 +17,7 @@
 
 use crate::fanout::{
     DeltaBuffer, FanoutMeter, FanoutOptions, OutboundQueue, QueueGauge, QueuePressure, ResetCause,
+    BUFFERED_MAX_CHANGES, CHANGELOG_FLUSH_CHANGES, QUEUE_MAX_BYTES, QUEUE_MAX_EVENTS,
 };
 use crate::range::RangeMap;
 use crate::view::QueryView;
@@ -26,8 +27,8 @@ use firestore_core::observer::{
     CommitObserver, CommitOutcome, DocumentChange, PrepareToken, PrepareUnavailable,
 };
 use firestore_core::checker::doc_digest;
-use firestore_core::matchtree::{MatchStats, MatcherMutation, MatcherTree};
-use firestore_core::{Document, Query};
+use firestore_core::matchtree::{MatchStats, MatcherTree};
+use firestore_core::{Caller, Consistency, Document, FirestoreDatabase, FirestoreResult, Query};
 use parking_lot::Mutex;
 use simkit::fault::{FaultInjector, FaultKind};
 use simkit::history::{HistoryEvent, HistoryRecorder};
@@ -84,8 +85,8 @@ pub struct RealtimeOptions {
     /// timestamp (plus a small margin) sets how long the Changelog will
     /// wait", §IV-D4).
     pub accept_margin: Duration,
-    /// Overload-safety knobs: per-connection queue bounds, backpressure
-    /// watermark, stall deadline, flush cadence, coalescing buffer bound.
+    /// Overload-safety knobs: stall deadline and flush cadence (the queue
+    /// and buffer bounds are the constants in [`crate::fanout`]).
     pub fanout: FanoutOptions,
 }
 
@@ -173,10 +174,38 @@ struct ConnState {
 }
 
 impl ConnState {
-    fn new(opts: &FanoutOptions, now: Timestamp) -> ConnState {
+    fn new(now: Timestamp) -> ConnState {
         ConnState {
             queries: HashMap::new(),
-            out: OutboundQueue::new(opts, now),
+            out: OutboundQueue::new(QUEUE_MAX_EVENTS, QUEUE_MAX_BYTES, now),
+        }
+    }
+}
+
+impl QueryState {
+    /// A snapshot of this query's view, on its way to connection `conn`;
+    /// the view is digested for the oracle only when `record` is set.
+    fn emission(
+        &self,
+        conn: ConnectionId,
+        query: QueryId,
+        at: Timestamp,
+        changes: Vec<DocChangeEvent>,
+        is_initial: bool,
+        record: bool,
+    ) -> Emission {
+        Emission {
+            conn,
+            query,
+            dir: self.dir.prefix(),
+            at,
+            changes,
+            is_initial,
+            visible: if record {
+                RealtimeCache::visible_digests(&self.view)
+            } else {
+                Vec::new()
+            },
         }
     }
 }
@@ -219,9 +248,8 @@ struct RtState {
     /// Oracle mutation toggle: hold one emitted snapshot back and deliver
     /// it after a newer one (a seeded ordering bug the oracle must catch).
     oracle_reorder: bool,
-    /// The snapshot held back by `oracle_reorder`, with its recorded
-    /// visible digests.
-    oracle_stash: Vec<StashedEmission>,
+    /// The snapshot held back by `oracle_reorder`.
+    oracle_stash: Option<Emission>,
     /// Bounded-cardinality per-connection queue metrics (top-K + other).
     meter: FanoutMeter,
     /// When the changelog backlog was last flushed through the matcher.
@@ -260,12 +288,19 @@ impl Instruments {
     }
 }
 
-/// A listener emission in flight: the event, the visible per-document
-/// digests recorded with it, and the listening query's directory prefix.
-type Emission = (ListenEvent, Vec<(String, u64)>, [u8; 4]);
-
-/// A held-back listener emission plus the connection it belongs to.
-type StashedEmission = (ConnectionId, ListenEvent, Vec<(String, u64)>, [u8; 4]);
+/// One snapshot on its way to a listener: what the `Snapshot` event will
+/// carry, the listening query's directory prefix, and the visible
+/// per-document digests the oracle records with it (empty while no
+/// recorder is attached).
+struct Emission {
+    conn: ConnectionId,
+    query: QueryId,
+    dir: [u8; 4],
+    at: Timestamp,
+    changes: Vec<DocChangeEvent>,
+    is_initial: bool,
+    visible: Vec<(String, u64)>,
+}
 
 /// The Real-time Cache. Cheap to clone; clones share state.
 #[derive(Clone)]
@@ -302,7 +337,7 @@ impl RealtimeCache {
                 history: None,
                 oracle_drop_changes: 0,
                 oracle_reorder: false,
-                oracle_stash: Vec::new(),
+                oracle_stash: None,
                 meter: FanoutMeter::new(),
                 last_flush: Timestamp::ZERO,
             })),
@@ -388,12 +423,6 @@ impl RealtimeCache {
         self.state.lock().matcher.debug_validate()
     }
 
-    /// Install (or clear) a seeded Query Matcher bug. **Test-only**: the
-    /// differential and chaos suites prove they catch each mutation.
-    pub fn set_matcher_mutation(&self, mutation: Option<MatcherMutation>) {
-        self.state.lock().matcher.set_mutation(mutation);
-    }
-
     /// EXPLAIN for the real-time matching path: render the Query Matcher
     /// descent the given change would take, without routing it.
     pub fn explain_change(&self, dir: DirectoryId, change: &DocumentChange) -> String {
@@ -437,8 +466,7 @@ impl RealtimeCache {
         let mut st = self.state.lock();
         let id = ConnectionId(st.next_conn);
         st.next_conn += 1;
-        st.conns
-            .insert(id, ConnState::new(&self.opts.fanout, now));
+        st.conns.insert(id, ConnState::new(now));
         Connection {
             cache: self.clone(),
             id,
@@ -493,7 +521,7 @@ impl RealtimeCache {
         if backlogged > 0
             && (interval == Duration::ZERO
                 || now.saturating_sub(st.last_flush) >= interval
-                || backlogged >= self.opts.fanout.changelog_flush_changes)
+                || backlogged >= CHANGELOG_FLUSH_CHANGES)
         {
             self.flush_backlogs(&mut st, now);
         }
@@ -542,75 +570,37 @@ impl RealtimeCache {
             task.backlog.clear();
             task.watermark = task.watermark.max(snapshot_ts);
         }
-        let mut caught_up = 0usize;
-        let (mut snapshots, mut notifications, mut resets) = (0u64, 0u64, 0u64);
         let record = st.history.is_some();
-        let mut recorded: Vec<HistoryEvent> = Vec::new();
-        let mut conn_ids: Vec<ConnectionId> = st.conns.keys().copied().collect();
-        conn_ids.sort();
-        for conn_id in conn_ids {
-            let Some(conn) = st.conns.get_mut(&conn_id) else {
+        let mut targets: Vec<(ConnectionId, QueryId)> = st
+            .conns
+            .iter()
+            .flat_map(|(cid, conn)| conn.queries.keys().map(move |qid| (*cid, *qid)))
+            .collect();
+        targets.sort_unstable();
+        let mut caught_up = 0usize;
+        for (conn_id, qid) in targets {
+            let Some(qs) = st
+                .conns
+                .get_mut(&conn_id)
+                .and_then(|c| c.queries.get_mut(&qid))
+            else {
                 continue;
             };
-            let mut qids: Vec<QueryId> = conn.queries.keys().copied().collect();
-            qids.sort();
-            for qid in qids {
-                let Some(qs) = conn.queries.get_mut(&qid) else {
-                    continue;
-                };
-                match requery(qs.view.query()) {
-                    Ok(docs) => {
-                        let deltas = qs.view.catch_up(docs);
-                        qs.buffered.clear();
-                        qs.resume = snapshot_ts;
-                        caught_up += 1;
-                        if !deltas.is_empty() {
-                            notifications += deltas.len() as u64;
-                            snapshots += 1;
-                            if record {
-                                recorded.push(HistoryEvent::ListenerSnapshot {
-                                    dir: qs.dir.prefix(),
-                                    conn: conn_id.0,
-                                    query: qid.0,
-                                    at: snapshot_ts,
-                                    initial: false,
-                                    visible: Self::visible_digests(&qs.view),
-                                });
-                            }
-                            let ev = ListenEvent::Snapshot {
-                                query: qid,
-                                at: snapshot_ts,
-                                changes: deltas,
-                                is_initial: false,
-                            };
-                            let cost = event_cost(&ev);
-                            conn.out.push(ev, cost, now);
-                        }
-                    }
-                    Err(_) => {
-                        let removed = conn.queries.remove(&qid);
-                        let ev = ListenEvent::Reset {
-                            query: qid,
-                            cause: ResetCause::Fault,
-                        };
-                        let cost = event_cost(&ev);
-                        conn.out.push(ev, cost, now);
-                        resets += 1;
-                        if record {
-                            if let Some(qs) = removed {
-                                recorded.push(HistoryEvent::ListenerReset {
-                                    dir: qs.dir.prefix(),
-                                    conn: conn_id.0,
-                                    query: qid.0,
-                                });
-                            }
-                        }
+            match requery(qs.view.query()) {
+                Ok(docs) => {
+                    let deltas = qs.view.catch_up(docs);
+                    qs.buffered.clear();
+                    qs.resume = snapshot_ts;
+                    caught_up += 1;
+                    if !deltas.is_empty() {
+                        let e = qs.emission(conn_id, qid, snapshot_ts, deltas, false, record);
+                        Self::deliver(st, e, now);
                     }
                 }
+                Err(_) => {
+                    Self::end_listener(st, conn_id, qid, Some((ResetCause::Fault, "requery")), now)
+                }
             }
-        }
-        for ev in recorded {
-            Self::record(st, ev);
         }
         // Rebuild the Query Matcher tree once, from the queries that
         // survived the requery loop. A single from-scratch rebuild (rather
@@ -621,10 +611,6 @@ impl RealtimeCache {
                 ((*cid, *qid), qs.sources.clone(), qs.dir, qs.view.query().clone())
             })
         }));
-        st.stats.snapshots += snapshots;
-        st.stats.notifications += notifications;
-        st.stats.resets += resets;
-        st.stats.resets_fault += resets;
         caught_up
     }
 
@@ -747,7 +733,7 @@ impl RealtimeCache {
                 }
                 let backlogged: usize = st.tasks.iter().map(|t| t.backlog.len()).sum();
                 if self.opts.fanout.flush_interval == Duration::ZERO
-                    || backlogged >= self.opts.fanout.changelog_flush_changes
+                    || backlogged >= CHANGELOG_FLUSH_CHANGES
                 {
                     self.flush_backlogs(&mut st, now);
                 }
@@ -835,7 +821,7 @@ impl RealtimeCache {
                         if *ts > qs.resume {
                             qs.buffered.push(*ts, change.clone());
                             buffered_to += 1;
-                            if qs.buffered.len() > self.opts.fanout.buffered_max_changes {
+                            if qs.buffered.len() > BUFFERED_MAX_CHANGES {
                                 over_buffer.push((conn, qid));
                             }
                         }
@@ -859,8 +845,14 @@ impl RealtimeCache {
         // resource limit after the outbound queue.
         over_buffer.sort_unstable();
         over_buffer.dedup();
-        if !over_buffer.is_empty() {
-            Self::reset_queries(st, over_buffer, ResetCause::Overload, "buffer", now);
+        for (conn_id, qid) in over_buffer {
+            Self::end_listener(
+                st,
+                conn_id,
+                qid,
+                Some((ResetCause::Overload, "buffer")),
+                now,
+            );
         }
     }
 
@@ -892,7 +884,9 @@ impl RealtimeCache {
                 qids.extend(conn.queries.keys().map(|q| (conn_id, *q)));
             }
             qids.sort_unstable();
-            Self::reset_queries(st, qids, ResetCause::Overload, reason, now);
+            for (conn_id, qid) in qids {
+                Self::end_listener(st, conn_id, qid, Some((ResetCause::Overload, reason)), now);
+            }
         }
     }
 
@@ -914,50 +908,110 @@ impl RealtimeCache {
         }
         targets.sort_unstable();
         targets.dedup();
-        Self::reset_queries(st, targets, ResetCause::Fault, reason, now);
+        for (conn_id, qid) in targets {
+            Self::end_listener(st, conn_id, qid, Some((ResetCause::Fault, reason)), now);
+        }
     }
 
-    /// Shared reset tail for both causes: unregister from the matcher,
-    /// drop the query state (and its buffered deltas), notify the client,
-    /// record the oracle event, and count by cause.
-    fn reset_queries(
+    /// The one way a listener ends — an overload or fault reset, a failed
+    /// catch-up requery, [`Connection::unlisten`] or [`Connection::close`]:
+    /// unregister it from the matcher, drop its query state (and buffered
+    /// deltas), and record the oracle's `ListenerReset` (the listener's
+    /// continuity obligations end here). A `reset` (cause, reason) also
+    /// queues the client-visible `Reset` notice and counts it.
+    fn end_listener(
         st: &mut RtState,
-        targets: Vec<(ConnectionId, QueryId)>,
-        cause: ResetCause,
-        reason: &'static str,
+        conn_id: ConnectionId,
+        qid: QueryId,
+        reset: Option<(ResetCause, &'static str)>,
         now: Timestamp,
     ) {
-        for (conn_id, qid) in targets {
-            st.matcher.unregister(&(conn_id, qid));
-            let removed = st.conns.get_mut(&conn_id).and_then(|conn| {
-                let qs = conn.queries.remove(&qid)?;
-                let ev = ListenEvent::Reset { query: qid, cause };
-                let cost = event_cost(&ev);
-                conn.out.push(ev, cost, now);
-                Some(qs)
-            });
-            if let Some(qs) = removed {
-                st.stats.resets += 1;
-                match cause {
-                    ResetCause::Fault => st.stats.resets_fault += 1,
-                    ResetCause::Overload => st.stats.resets_overload += 1,
-                }
-                if let Some(o) = &st.obs {
-                    o.obs.metrics.incr(
-                        "rtc.fanout.resets",
-                        &[("cause", cause.label()), ("reason", reason)],
-                        1,
-                    );
-                }
-                Self::record(
-                    st,
-                    HistoryEvent::ListenerReset {
-                        dir: qs.dir.prefix(),
-                        conn: conn_id.0,
-                        query: qid.0,
-                    },
+        st.matcher.unregister(&(conn_id, qid));
+        let Some(conn) = st.conns.get_mut(&conn_id) else {
+            return;
+        };
+        let Some(qs) = conn.queries.remove(&qid) else {
+            return;
+        };
+        if let Some((cause, reason)) = reset {
+            let ev = ListenEvent::Reset { query: qid, cause };
+            let cost = event_cost(&ev);
+            conn.out.push(ev, cost, now);
+            st.stats.resets += 1;
+            match cause {
+                ResetCause::Fault => st.stats.resets_fault += 1,
+                ResetCause::Overload => st.stats.resets_overload += 1,
+            }
+            if let Some(o) = &st.obs {
+                o.obs.metrics.incr(
+                    "rtc.fanout.resets",
+                    &[("cause", cause.label()), ("reason", reason)],
+                    1,
                 );
             }
+        }
+        Self::record(
+            st,
+            HistoryEvent::ListenerReset {
+                dir: qs.dir.prefix(),
+                conn: conn_id.0,
+                query: qid.0,
+            },
+        );
+    }
+
+    /// The one delivery path: every snapshot a listener receives — the
+    /// initial one from [`Connection::listen`], the incremental ones from
+    /// `pump`, the catch-up ones from [`RealtimeCache::restart`] — is
+    /// counted, recorded for the oracle, metered and queued here.
+    fn deliver(st: &mut RtState, e: Emission, now: Timestamp) {
+        // Oracle mutation: hold a snapshot back and deliver it only after a
+        // newer one on the same connection — §V ordered delivery violated.
+        if st.oracle_reorder {
+            match st.oracle_stash.take() {
+                None => {
+                    st.oracle_stash = Some(e);
+                    return;
+                }
+                Some(held) if held.conn == e.conn => {
+                    Self::emit(st, e, now);
+                    Self::emit(st, held, now);
+                    return;
+                }
+                held => st.oracle_stash = held,
+            }
+        }
+        Self::emit(st, e, now);
+    }
+
+    fn emit(st: &mut RtState, e: Emission, now: Timestamp) {
+        // The initial snapshot is the listener's starting state, not a
+        // notification.
+        if !e.is_initial {
+            st.stats.notifications += e.changes.len() as u64;
+        }
+        st.stats.snapshots += 1;
+        Self::record(
+            st,
+            HistoryEvent::ListenerSnapshot {
+                dir: e.dir,
+                conn: e.conn.0,
+                query: e.query.0,
+                at: e.at,
+                initial: e.is_initial,
+                visible: e.visible,
+            },
+        );
+        let event = ListenEvent::Snapshot {
+            query: e.query,
+            at: e.at,
+            changes: e.changes,
+            is_initial: e.is_initial,
+        };
+        let cost = event_cost(&event);
+        st.meter.note_queued(e.conn.0, cost);
+        if let Some(conn) = st.conns.get_mut(&e.conn) {
+            conn.out.push(event, cost, now);
         }
     }
 
@@ -1033,8 +1087,6 @@ impl RealtimeCache {
         else {
             return;
         };
-        // Each emission carries the visible digests the oracle records
-        // (computed only while a recorder is attached).
         let mut emitted: Vec<Emission> = Vec::new();
         let mut coalesced_total = 0u64;
         let mut walked_deltas = 0u64;
@@ -1053,34 +1105,7 @@ impl RealtimeCache {
             }
             let deltas = qs.view.apply_refs(batch.iter().map(|c| c.as_ref()));
             if !deltas.is_empty() {
-                let visible = if record {
-                    Self::visible_digests(&qs.view)
-                } else {
-                    Vec::new()
-                };
-                emitted.push((
-                    ListenEvent::Snapshot {
-                        query: *qid,
-                        at: conn_watermark,
-                        changes: deltas,
-                        is_initial: false,
-                    },
-                    visible,
-                    qs.dir.prefix(),
-                ));
-            }
-        }
-        // Oracle mutation: hold the first emitted snapshot back and deliver
-        // it only after a newer one — §V ordered delivery violated.
-        if st.oracle_reorder {
-            if st.oracle_stash.is_empty() {
-                if !emitted.is_empty() {
-                    let (ev, vis, qdir) = emitted.remove(0);
-                    st.oracle_stash.push((conn_id, ev, vis, qdir));
-                }
-            } else if !emitted.is_empty() && st.oracle_stash[0].0 == conn_id {
-                let (_, ev, vis, qdir) = st.oracle_stash.remove(0);
-                emitted.push((ev, vis, qdir));
+                emitted.push(qs.emission(conn_id, *qid, conn_watermark, deltas, false, record));
             }
         }
         st.stats.coalesced += coalesced_total;
@@ -1108,33 +1133,9 @@ impl RealtimeCache {
                 s.attr("coalesced", coalesced_total);
             }
         }
-        for (e, visible, qdir) in &emitted {
-            if let ListenEvent::Snapshot { query, at, changes, is_initial } = e {
-                st.stats.notifications += changes.len() as u64;
-                st.stats.snapshots += 1;
-                if record {
-                    Self::record(
-                        st,
-                        HistoryEvent::ListenerSnapshot {
-                            dir: *qdir,
-                            conn: conn_id.0,
-                            query: query.0,
-                            at: *at,
-                            initial: *is_initial,
-                            visible: visible.clone(),
-                        },
-                    );
-                }
-            }
-        }
-        let st = &mut *st;
-        if let Some(conn) = st.conns.get_mut(&conn_id) {
-            let now = self.truetime.clock().now();
-            for (e, _, _) in emitted {
-                let cost = event_cost(&e);
-                st.meter.note_queued(conn_id.0, cost);
-                conn.out.push(e, cost, now);
-            }
+        let now = self.truetime.clock().now();
+        for e in emitted {
+            Self::deliver(st, e, now);
         }
     }
 }
@@ -1152,12 +1153,13 @@ impl Connection {
         self.id
     }
 
-    /// Register a real-time query. `initial` is the snapshot the Backend
-    /// returned **for the unwindowed query** (`query.without_window()`) and
-    /// `snapshot_ts` its timestamp (the max-commit-version); the view
-    /// applies the query's own limit/offset so that window eviction can
-    /// backfill without a requery. The initial snapshot event is queued
-    /// immediately.
+    /// Register a real-time query — the Frontend half of the handshake;
+    /// consumers go through [`ListenSnapshot::listen`], which supplies the
+    /// arguments. `initial` is the snapshot the Backend returned **for the
+    /// unwindowed query** (`query.without_window()`) and `snapshot_ts` its
+    /// timestamp (the max-commit-version); the view applies the query's own
+    /// limit/offset so that window eviction can backfill without a requery.
+    /// The initial snapshot event is queued immediately.
     pub fn listen(
         &self,
         dir: DirectoryId,
@@ -1180,74 +1182,39 @@ impl Connection {
         // Register the query shape with the Query Matcher tree in every
         // shard whose key range intersects the query's collection range.
         st.matcher.register((self.id, qid), &sources, dir, &query);
-        let view = QueryView::new(query, initial);
-        let initial_events = view.initial_events();
-        let visible = st
-            .history
-            .is_some()
-            .then(|| RealtimeCache::visible_digests(&view));
-        let Some(conn) = st.conns.get_mut(&self.id) else {
-            return qid;
+        let qs = QueryState {
+            dir,
+            sources,
+            resume: snapshot_ts,
+            view: QueryView::new(query, initial),
+            buffered: DeltaBuffer::new(),
         };
-        let ev = ListenEvent::Snapshot {
-            query: qid,
-            at: snapshot_ts,
-            changes: initial_events,
-            is_initial: true,
-        };
-        let cost = event_cost(&ev);
-        let now = self.cache.truetime.clock().now();
-        conn.out.push(ev, cost, now);
-        // A listen is client activity: restart the stall clock so a
-        // recovering listener is not re-shed for its older undrained events.
-        conn.out.touch(now);
-        conn.queries.insert(
+        let initial = qs.view.initial_events();
+        let e = qs.emission(
+            self.id,
             qid,
-            QueryState {
-                dir,
-                sources,
-                resume: snapshot_ts,
-                view,
-                buffered: DeltaBuffer::new(),
-            },
+            snapshot_ts,
+            initial,
+            true,
+            st.history.is_some(),
         );
-        st.stats.snapshots += 1;
-        if let Some(visible) = visible {
-            RealtimeCache::record(
-                &st,
-                HistoryEvent::ListenerSnapshot {
-                    dir: dir.prefix(),
-                    conn: self.id.0,
-                    query: qid.0,
-                    at: snapshot_ts,
-                    initial: true,
-                    visible,
-                },
-            );
+        let now = self.cache.truetime.clock().now();
+        if let Some(conn) = st.conns.get_mut(&self.id) {
+            // A listen is client activity: restart the stall clock so a
+            // recovering listener is not re-shed for its older undrained
+            // events.
+            conn.out.touch(now);
+            conn.queries.insert(qid, qs);
         }
+        RealtimeCache::deliver(&mut st, e, now);
         qid
     }
 
     /// Stop a real-time query.
     pub fn unlisten(&self, qid: QueryId) {
+        let now = self.cache.truetime.clock().now();
         let mut st = self.cache.state.lock();
-        st.matcher.unregister(&(self.id, qid));
-        let removed = st
-            .conns
-            .get_mut(&self.id)
-            .and_then(|conn| conn.queries.remove(&qid));
-        if let Some(qs) = removed {
-            // The oracle treats a voluntary unlisten like a reset: the
-            // listener's continuity obligations end here.
-            RealtimeCache::record(
-                &st,
-                HistoryEvent::ListenerReset {
-                    dir: qs.dir.prefix(),
-                    conn: self.id.0,
-                    query: qid.0,
-                },
-            );
-        }
+        RealtimeCache::end_listener(&mut st, self.id, qid, None, now);
     }
 
     /// Drain queued events. A connection that leaves an event undrained
@@ -1262,26 +1229,85 @@ impl Connection {
 
     /// Close the connection, dropping all its queries.
     pub fn close(&self) {
+        let now = self.cache.truetime.clock().now();
         let mut st = self.cache.state.lock();
-        if let Some(conn) = st.conns.remove(&self.id) {
-            let mut qids: Vec<(QueryId, [u8; 4])> = conn
-                .queries
-                .iter()
-                .map(|(qid, qs)| (*qid, qs.dir.prefix()))
-                .collect();
-            qids.sort();
-            for (qid, qdir) in qids {
-                st.matcher.unregister(&(self.id, qid));
-                RealtimeCache::record(
-                    &st,
-                    HistoryEvent::ListenerReset {
-                        dir: qdir,
-                        conn: self.id.0,
-                        query: qid.0,
-                    },
-                );
-            }
+        let Some(conn) = st.conns.get(&self.id) else {
+            return;
+        };
+        let mut qids: Vec<QueryId> = conn.queries.keys().copied().collect();
+        qids.sort();
+        for qid in qids {
+            RealtimeCache::end_listener(&mut st, self.id, qid, None, now);
         }
+        st.conns.remove(&self.id);
+    }
+}
+
+/// The initial snapshot of a real-time query (§IV-D4 steps 1–2): the
+/// query's *unwindowed* result set, read at one strong timestamp. It is the
+/// listen handshake every consumer goes through — read it, then
+/// [`ListenSnapshot::listen`] — so the snapshot the cache seeds a view with
+/// is, by construction, the unwindowed query at exactly the timestamp the
+/// listener resumes from.
+pub struct ListenSnapshot {
+    dir: DirectoryId,
+    query: Query,
+    at: Timestamp,
+    documents: Vec<Document>,
+}
+
+impl ListenSnapshot {
+    /// Read the snapshot of `query` on `db` at a fresh strong timestamp.
+    pub fn read(
+        db: &FirestoreDatabase,
+        query: Query,
+        caller: &Caller,
+    ) -> FirestoreResult<ListenSnapshot> {
+        Self::read_at(db, query, caller, db.strong_read_ts())
+    }
+
+    /// Read the snapshot at `at`: the requery of [`RealtimeCache::restart`]
+    /// re-reads every registered listener at the restart's one timestamp.
+    pub fn read_at(
+        db: &FirestoreDatabase,
+        query: Query,
+        caller: &Caller,
+        at: Timestamp,
+    ) -> FirestoreResult<ListenSnapshot> {
+        let documents = db
+            .run_query(
+                &query.without_window(),
+                Consistency::AtTimestamp(at),
+                caller,
+            )?
+            .documents;
+        Ok(ListenSnapshot {
+            dir: db.directory(),
+            query,
+            at,
+            documents,
+        })
+    }
+
+    /// The read timestamp (the query's max-commit-version).
+    pub fn at(&self) -> Timestamp {
+        self.at
+    }
+
+    /// Every document matching the query, ignoring its window.
+    pub fn documents(&self) -> &[Document] {
+        &self.documents
+    }
+
+    /// The documents, for a requery that only needs the result set.
+    pub fn into_documents(self) -> Vec<Document> {
+        self.documents
+    }
+
+    /// Register the query on `conn`, seeded with this snapshot (§IV-D4
+    /// steps 3–4). The initial snapshot event is queued at once.
+    pub fn listen(self, conn: &Connection) -> QueryId {
+        conn.listen(self.dir, self.query, self.documents, self.at)
     }
 }
 

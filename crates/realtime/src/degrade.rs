@@ -7,21 +7,20 @@
 //! query through a [`Connection`] and, when the cache becomes unavailable
 //! mid-listen — a [`crate::cache::ListenEvent::Reset`] from an out-of-sync
 //! range, or a chaos-injected [`FaultKind::CacheUnavailable`] outage — it
-//! falls back to Spanner-backed polling snapshots. Each degraded poll runs
-//! the query at a strong read timestamp and diffs the visible window
-//! against the last state delivered to the client, so the subscriber keeps
-//! seeing exactly the real changes (no misses, no duplicates). Once the
-//! cache answers again the listener re-registers, seeding the cache view at
-//! the poll timestamp so the changelog replays only what the poll has not
-//! already delivered; the cache's own initial snapshot is suppressed
-//! because the client is already up to date.
+//! falls back to Spanner-backed polling snapshots. Each degraded poll reads
+//! the listen snapshot ([`ListenSnapshot`]) and diffs its visible window
+//! against the last state delivered to the client with the view's window
+//! diff, so the subscriber keeps seeing exactly the real changes (no
+//! misses, no duplicates). Once the cache answers again the listener
+//! re-registers, seeding the cache view at the poll timestamp so the
+//! changelog replays only what the poll has not already delivered; the
+//! cache's own initial snapshot is suppressed because the client is
+//! already up to date.
 
-use crate::cache::{ChangeKind, Connection, DocChangeEvent, ListenEvent, QueryId};
-use crate::fanout::ResetCause;
-use crate::view::QueryView;
-use firestore_core::{
-    Caller, Consistency, Document, DocumentName, FirestoreDatabase, FirestoreResult, Query,
-};
+use crate::cache::{ChangeKind, Connection, DocChangeEvent, ListenEvent, ListenSnapshot, QueryId};
+use crate::fanout::{ResetCause, OVERLOAD_RESUBSCRIBE_DELAY};
+use crate::view::{diff_visible, QueryView};
+use firestore_core::{Caller, Document, DocumentName, FirestoreDatabase, FirestoreResult, Query};
 use simkit::fault::{FaultInjector, FaultKind};
 use simkit::Timestamp;
 use std::collections::BTreeMap;
@@ -54,11 +53,6 @@ pub struct ListenerStats {
     /// listener voluntarily; re-subscription is backed off).
     pub overload_resets_seen: u64,
 }
-
-/// Degraded polls to run before re-subscribing after an overload reset.
-/// An overload-shed listener that re-subscribes instantly just re-creates
-/// the pressure that shed it; a fault reset recovers immediately.
-const OVERLOAD_RESUBSCRIBE_DELAY_POLLS: u32 = 2;
 
 /// One batch of visible changes delivered to the subscriber.
 #[derive(Clone, Debug)]
@@ -102,9 +96,9 @@ impl ResilientListener {
         query: Query,
         caller: Caller,
     ) -> FirestoreResult<ResilientListener> {
-        let ts = db.strong_read_ts();
-        let initial = db.run_query(&query.without_window(), Consistency::AtTimestamp(ts), &caller)?;
-        let qid = conn.listen(db.directory(), query.clone(), initial.documents, ts);
+        let snapshot = ListenSnapshot::read(db, query.clone(), &caller)?;
+        let ts = snapshot.at();
+        let qid = snapshot.listen(conn);
         Ok(ResilientListener {
             db: db.clone(),
             conn: conn.clone(),
@@ -218,7 +212,7 @@ impl ResilientListener {
                         self.stats.resets_seen += 1;
                         if cause == ResetCause::Overload {
                             self.stats.overload_resets_seen += 1;
-                            self.defer_resubscribe = OVERLOAD_RESUBSCRIBE_DELAY_POLLS;
+                            self.defer_resubscribe = OVERLOAD_RESUBSCRIBE_DELAY;
                         }
                         reset = true;
                     }
@@ -238,13 +232,8 @@ impl ResilientListener {
 
     fn poll_degraded(&mut self) -> FirestoreResult<Vec<ListenerEvent>> {
         self.stats.polls += 1;
-        let ts = self.db.strong_read_ts();
-        let full = match self.db.run_query(
-            &self.query.without_window(),
-            Consistency::AtTimestamp(ts),
-            &self.caller,
-        ) {
-            Ok(full) => full,
+        let snapshot = match ListenSnapshot::read(&self.db, self.query.clone(), &self.caller) {
+            Ok(snapshot) => snapshot,
             // The fallback is "strictly an enhancement" over the database:
             // a transient storage error costs one poll interval, never the
             // subscription. The next tick retries with a fresh timestamp.
@@ -254,8 +243,9 @@ impl ResilientListener {
             }
             Err(e) => return Err(e),
         };
-        let visible = QueryView::new(self.query.clone(), full.documents.clone()).visible();
-        let changes = self.diff_delivered(&visible);
+        let ts = snapshot.at();
+        let visible = QueryView::new(self.query.clone(), snapshot.documents().to_vec()).visible();
+        let changes = self.diff_delivered(visible);
         self.last_ts = ts;
         let mut out = Vec::new();
         if !changes.is_empty() {
@@ -275,9 +265,7 @@ impl ResilientListener {
         // Attempt recovery: re-subscribe seeded at the poll timestamp so the
         // changelog replays only commits after `ts`.
         if !self.cache_unavailable("re-listen") {
-            let qid = self
-                .conn
-                .listen(self.db.directory(), self.query.clone(), full.documents, ts);
+            let qid = snapshot.listen(&self.conn);
             self.suppress_initial = Some(qid);
             self.qid = Some(qid);
             self.mode = ListenerMode::Streaming;
@@ -300,34 +288,12 @@ impl ResilientListener {
         }
     }
 
-    /// Diff a polled visible window against the delivered state (by update
-    /// timestamp) and replace the delivered state with it.
-    fn diff_delivered(&mut self, visible: &[Document]) -> Vec<DocChangeEvent> {
-        let mut changes = Vec::new();
-        let mut next: BTreeMap<DocumentName, Document> = BTreeMap::new();
-        for doc in visible {
-            match self.delivered.get(&doc.name) {
-                None => changes.push(DocChangeEvent {
-                    kind: ChangeKind::Added,
-                    doc: doc.clone(),
-                }),
-                Some(old) if old.update_time != doc.update_time => changes.push(DocChangeEvent {
-                    kind: ChangeKind::Modified,
-                    doc: doc.clone(),
-                }),
-                Some(_) => {}
-            }
-            next.insert(doc.name.clone(), doc.clone());
-        }
-        for (name, old) in &self.delivered {
-            if !next.contains_key(name) {
-                changes.push(DocChangeEvent {
-                    kind: ChangeKind::Removed,
-                    doc: old.clone(),
-                });
-            }
-        }
-        self.delivered = next;
+    /// Diff a polled visible window against the delivered state with the
+    /// view's window diff, and replace the delivered state with it.
+    fn diff_delivered(&mut self, visible: Vec<Document>) -> Vec<DocChangeEvent> {
+        let delivered: Vec<Document> = std::mem::take(&mut self.delivered).into_values().collect();
+        let changes = diff_visible(&delivered, &visible);
+        self.delivered = visible.into_iter().map(|d| (d.name.clone(), d)).collect();
         changes
     }
 }

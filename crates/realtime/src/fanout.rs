@@ -54,49 +54,54 @@ impl ResetCause {
     }
 }
 
+/// Hard bound on queued outbound events per connection; exceeding it fires
+/// an overload reset (cause `overload`, reason `queue`).
+pub const QUEUE_MAX_EVENTS: usize = 1024;
+
+/// Hard bound on queued outbound bytes per connection (approximate, from
+/// the cache's per-event cost accounting).
+pub const QUEUE_MAX_BYTES: usize = 1 << 20;
+
+/// Fraction of either hard bound at which backpressure starts: above it the
+/// pipeline defers materializing new snapshots for the connection (changes
+/// stay coalesced in the [`DeltaBuffer`]) instead of queueing more.
+pub const HIGH_WATERMARK: f64 = 0.5;
+
+/// Hard bound on buffered (pre-flush) changes per query; exceeding it fires
+/// an overload reset (reason `buffer`). Backpressured listeners park
+/// changes here, so this is the second resource bound.
+pub const BUFFERED_MAX_CHANGES: usize = 4096;
+
+/// Safety valve for batched mode: flush inline once this many changes are
+/// backlogged, so a write burst cannot grow the changelog unboundedly
+/// within one flush interval.
+pub const CHANGELOG_FLUSH_CHANGES: usize = 8192;
+
+/// How many of its own polling calls (an SDK client's `sync`, a
+/// degraded listener's poll) a consumer shed by an overload reset sits out
+/// before it re-subscribes. Re-subscribing at once would re-create the
+/// pressure that shed it; a fault reset recovers without delay.
+pub const OVERLOAD_RESUBSCRIBE_DELAY: u32 = 2;
+
 /// Configuration of the overload-safe fanout pipeline.
 #[derive(Clone, Debug)]
 pub struct FanoutOptions {
-    /// Hard bound on queued outbound events per connection; exceeding it
-    /// fires an overload reset (cause `overload`, reason `queue`).
-    pub queue_max_events: usize,
-    /// Hard bound on queued outbound bytes per connection (approximate,
-    /// from [`DeltaBuffer`]-style cost accounting).
-    pub queue_max_bytes: usize,
-    /// Fraction of either hard bound at which backpressure starts: above
-    /// it the pipeline defers materializing new snapshots for the
-    /// connection (changes stay coalesced in the [`DeltaBuffer`]) instead
-    /// of queueing more.
-    pub high_watermark: f64,
     /// A connection with queued events that has not drained for this long
     /// is stalled: overload reset (reason `stall`).
     pub stall_deadline: Duration,
-    /// Hard bound on buffered (pre-flush) changes per query; exceeding it
-    /// fires an overload reset (reason `buffer`). Backpressured listeners
-    /// park changes here, so this is the second resource bound.
-    pub buffered_max_changes: usize,
     /// Flush cadence: `ZERO` emits on every Accept (the eager pre-batching
     /// behavior every interactive test expects); a positive interval
     /// batches committed changes in the changelog and routes + emits them
     /// once per interval — one tree descent per batch, one notification
     /// per flush per hot document.
     pub flush_interval: Duration,
-    /// Safety valve for batched mode: flush inline once this many changes
-    /// are backlogged, so a write burst cannot grow the changelog
-    /// unboundedly within one flush interval.
-    pub changelog_flush_changes: usize,
 }
 
 impl Default for FanoutOptions {
     fn default() -> Self {
         FanoutOptions {
-            queue_max_events: 1024,
-            queue_max_bytes: 1 << 20,
-            high_watermark: 0.5,
             stall_deadline: Duration::from_secs(30),
-            buffered_max_changes: 4096,
             flush_interval: Duration::ZERO,
-            changelog_flush_changes: 8192,
         }
     }
 }
@@ -124,7 +129,6 @@ pub struct OutboundQueue<E> {
     bytes: usize,
     max_events: usize,
     max_bytes: usize,
-    high_watermark: f64,
     /// When the oldest undrained event was queued: the drain clock starts
     /// when the queue goes from empty to non-empty, so a connection that
     /// was idle for a long time is not stalled by its first event.
@@ -134,14 +138,15 @@ pub struct OutboundQueue<E> {
 }
 
 impl<E> OutboundQueue<E> {
-    /// An empty queue with the given bounds.
-    pub fn new(opts: &FanoutOptions, now: Timestamp) -> OutboundQueue<E> {
+    /// An empty queue with the given hard bounds (the cache uses
+    /// [`QUEUE_MAX_EVENTS`] and [`QUEUE_MAX_BYTES`]); backpressure starts at
+    /// [`HIGH_WATERMARK`] of either.
+    pub fn new(max_events: usize, max_bytes: usize, now: Timestamp) -> OutboundQueue<E> {
         OutboundQueue {
             events: VecDeque::new(),
             bytes: 0,
-            max_events: opts.queue_max_events.max(1),
-            max_bytes: opts.queue_max_bytes.max(1),
-            high_watermark: opts.high_watermark.clamp(0.0, 1.0),
+            max_events: max_events.max(1),
+            max_bytes: max_bytes.max(1),
             pending_since: now,
             dropped: 0,
         }
@@ -181,8 +186,8 @@ impl<E> OutboundQueue<E> {
         if self.events.len() > self.max_events || self.bytes > self.max_bytes {
             return QueuePressure::Overflow;
         }
-        let ev_mark = (self.max_events as f64 * self.high_watermark) as usize;
-        let by_mark = (self.max_bytes as f64 * self.high_watermark) as usize;
+        let ev_mark = (self.max_events as f64 * HIGH_WATERMARK) as usize;
+        let by_mark = (self.max_bytes as f64 * HIGH_WATERMARK) as usize;
         if self.events.len() >= ev_mark.max(1) || self.bytes >= by_mark.max(1) {
             QueuePressure::High
         } else {
@@ -397,18 +402,14 @@ mod tests {
         })
     }
 
-    fn opts() -> FanoutOptions {
-        FanoutOptions {
-            queue_max_events: 4,
-            queue_max_bytes: 1000,
-            high_watermark: 0.5,
-            ..FanoutOptions::default()
-        }
+    /// A tiny queue: 4 events / 1000 bytes.
+    fn queue() -> OutboundQueue<u32> {
+        OutboundQueue::new(4, 1000, Timestamp::ZERO)
     }
 
     #[test]
     fn queue_pressure_classification() {
-        let mut q: OutboundQueue<u32> = OutboundQueue::new(&opts(), Timestamp::ZERO);
+        let mut q = queue();
         assert_eq!(q.pressure(), QueuePressure::Normal);
         let t = Timestamp::ZERO;
         q.push(1, 10, t);
@@ -427,14 +428,14 @@ mod tests {
 
     #[test]
     fn queue_byte_bound_trips_independently() {
-        let mut q: OutboundQueue<u32> = OutboundQueue::new(&opts(), Timestamp::ZERO);
+        let mut q = queue();
         q.push(1, 1200, Timestamp::ZERO);
         assert_eq!(q.pressure(), QueuePressure::Overflow, "1200 > 1000 bytes");
     }
 
     #[test]
     fn stall_detection_uses_drain_clock() {
-        let mut q: OutboundQueue<u32> = OutboundQueue::new(&opts(), Timestamp::ZERO);
+        let mut q = queue();
         let deadline = Duration::from_secs(5);
         assert!(!q.stalled(Timestamp::from_millis(60_000), deadline), "empty never stalls");
         // Idle for a minute, then one event: the clock starts now.
@@ -449,7 +450,7 @@ mod tests {
 
     #[test]
     fn clear_counts_dropped_events() {
-        let mut q: OutboundQueue<u32> = OutboundQueue::new(&opts(), Timestamp::ZERO);
+        let mut q = queue();
         q.push(1, 10, Timestamp::ZERO);
         q.push(2, 10, Timestamp::ZERO);
         q.clear();

@@ -44,9 +44,9 @@ pub mod range;
 pub mod view;
 
 pub use cache::{
-    ChangeKind, Connection, ConnectionId, DocChangeEvent, ListenEvent, QueryId, RealtimeCache,
-    RealtimeOptions,
+    ChangeKind, Connection, ConnectionId, DocChangeEvent, ListenEvent, ListenSnapshot, QueryId,
+    RealtimeCache, RealtimeOptions,
 };
-pub use fanout::{FanoutOptions, ResetCause};
+pub use fanout::{FanoutOptions, ResetCause, OVERLOAD_RESUBSCRIBE_DELAY};
 pub use degrade::{ListenerEvent, ListenerMode, ListenerStats, ResilientListener};
 pub use range::RangeMap;

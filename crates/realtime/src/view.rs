@@ -7,7 +7,7 @@
 //! not just the window — is what lets a limited query backfill correctly
 //! when a document leaves the window.
 
-use firestore_core::matching::{matches_document, order_key};
+use firestore_core::matching::{apply_window, matches_document, order_key};
 use firestore_core::observer::DocumentChange;
 use firestore_core::{Document, DocumentName, Query};
 use std::collections::{BTreeMap, HashMap};
@@ -96,11 +96,9 @@ impl QueryView {
 
     /// The currently visible (offset/limit-windowed) result set, in order.
     pub fn visible(&self) -> Vec<Document> {
-        let it = self.result.values().skip(self.query.offset);
-        match self.query.limit {
-            Some(l) => it.take(l).cloned().collect(),
-            None => it.cloned().collect(),
-        }
+        apply_window(self.result.values(), self.query.offset, self.query.limit)
+            .cloned()
+            .collect()
     }
 
     /// Apply a batch of committed document changes and return the visible
@@ -131,11 +129,12 @@ impl QueryView {
         deltas
     }
 
-    /// Replace the full result set with an authoritative snapshot (a
-    /// changelog catch-up after a cache restart) and return the visible
-    /// deltas relative to what the client last saw. A client whose view
-    /// already matches the snapshot gets no events — convergence with no
-    /// missed or duplicated notifications.
+    /// Replace the full result set with an authoritative snapshot and
+    /// return the visible deltas relative to what the client last saw: the
+    /// reconcile step of every listener (a changelog catch-up after a cache
+    /// restart, an SDK reseed after a reconnect or a reset). A client whose
+    /// view already matches the snapshot gets no events — convergence with
+    /// no missed or duplicated notifications.
     pub fn catch_up(&mut self, authoritative: Vec<Document>) -> Vec<DocChangeEvent> {
         self.result.clear();
         self.by_name.clear();
@@ -162,7 +161,12 @@ impl QueryView {
     }
 }
 
-fn diff_visible(old: &[Document], new: &[Document]) -> Vec<DocChangeEvent> {
+/// The one window diff: the events that turn the visible window `old` into
+/// `new` — `Removed` in `old`'s order, then `Added`/`Modified` in `new`'s.
+/// A document counts as modified when any part of it differs; for two
+/// committed versions of one document that is the same test as comparing
+/// their `update_time`.
+pub fn diff_visible(old: &[Document], new: &[Document]) -> Vec<DocChangeEvent> {
     let old_by_name: HashMap<&DocumentName, &Document> = old.iter().map(|d| (&d.name, d)).collect();
     let new_by_name: HashMap<&DocumentName, &Document> = new.iter().map(|d| (&d.name, d)).collect();
     let mut out = Vec::new();

@@ -21,7 +21,7 @@ use firestore_core::{
     FirestoreResult, Query, RequestClass, Write, WriteResult,
 };
 use parking_lot::{Mutex, RwLock};
-use realtime::{Connection, QueryId, RealtimeCache, RealtimeOptions};
+use realtime::{Connection, ListenSnapshot, QueryId, RealtimeCache, RealtimeOptions};
 use simkit::latency::{CpuCostModel, Deployment, LatencyModel};
 use simkit::{
     AttrValue, CounterHandle, Duration, Obs, PhaseBreakdown, PhaseHistograms, SimClock, SimRng,
@@ -452,21 +452,16 @@ impl FirestoreService {
         // The initial snapshot below runs through the tenant gate (it is a
         // query); the listener registration itself is capped here.
         self.tenants.listener_opened(database)?;
-        let snapshot_ts = db.strong_read_ts();
-        let initial = match db.run_query(
-            &query.without_window(),
-            Consistency::AtTimestamp(snapshot_ts),
-            caller,
-        ) {
-            Ok(r) => r,
+        let snapshot = match ListenSnapshot::read(&db, query, caller) {
+            Ok(snapshot) => snapshot,
             Err(e) => {
                 self.tenants.listener_closed(database);
                 return Err(e);
             }
         };
         self.billing
-            .record_reads(database, initial.documents.len() as u64);
-        Ok(conn.listen(db.directory(), query, initial.documents, snapshot_ts))
+            .record_reads(database, snapshot.documents().len() as u64);
+        Ok(snapshot.listen(conn))
     }
 
     /// Gate one unit of Backend work submitted outside the RPC entry points

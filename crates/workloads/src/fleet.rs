@@ -21,7 +21,7 @@
 use client::{ClientOptions, FirestoreClient};
 use firestore_core::database::doc;
 use firestore_core::{Caller, FirestoreDatabase, Query, RequestClass, Value, Write};
-use realtime::{Connection, ListenEvent, QueryId};
+use realtime::{Connection, ListenEvent, ListenSnapshot, QueryId};
 use server::{FirestoreService, ServiceOptions, TenantLimits};
 use simkit::fault::{FaultInjector, FaultKind, FaultPlan, FaultRule};
 use simkit::history::HistoryRecorder;
@@ -300,12 +300,8 @@ fn crash_recover(
                 .position(|c| *c == q.collection)
                 .map(|i| &tracked_dbs[i])
                 .unwrap_or(&tracked_dbs[0]);
-            db.run_query(
-                &q.without_window(),
-                firestore_core::Consistency::AtTimestamp(ts),
-                &Caller::Service,
-            )
-            .map(|r| r.documents)
+            ListenSnapshot::read_at(db, q.clone(), &Caller::Service, ts)
+                .map(ListenSnapshot::into_documents)
         },
         ts,
     );

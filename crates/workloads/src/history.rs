@@ -20,8 +20,8 @@ use firestore_core::{
     Caller, Consistency, Direction, FilterOp, FirestoreDatabase, FirestoreError, Query, Value,
     Write,
 };
-use realtime::{Connection, ListenEvent, QueryId, RealtimeCache, RealtimeOptions};
-use simkit::fault::{FaultInjector, FaultKind, FaultPlan, FaultRule};
+use realtime::{Connection, ListenEvent, ListenSnapshot, QueryId, RealtimeCache, RealtimeOptions};
+use simkit::fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultRule};
 use simkit::history::HistoryRecorder;
 use simkit::{Duration, SimClock, SimDisk, SimRng, Timestamp};
 use spanner::SpannerDatabase;
@@ -117,6 +117,8 @@ pub struct HistoryOutcome {
     pub crashes: usize,
     /// Successfully acknowledged commits (service + client + txn).
     pub commits: usize,
+    /// The chaos injector's trace, in firing order (empty without chaos).
+    pub faults: Vec<FaultEvent>,
 }
 
 struct Listener {
@@ -145,18 +147,9 @@ impl Listener {
 
     /// (Re-)register the query on the connection from a fresh snapshot.
     fn register(&mut self, world: &HistoryWorld, queries: &mut HashMap<u64, Query>) {
-        let ts = world.db.strong_read_ts();
-        let res = world
-            .db
-            .run_query(
-                &self.query.without_window(),
-                Consistency::AtTimestamp(ts),
-                &Caller::Service,
-            )
-            .unwrap();
-        self.qid = self
-            .conn
-            .listen(world.db.directory(), self.query.clone(), res.documents, ts);
+        self.qid = ListenSnapshot::read(&world.db, self.query.clone(), &Caller::Service)
+            .unwrap()
+            .listen(&self.conn);
         queries.insert(self.qid.0, self.query.clone());
         self.reset = false;
         self.drain();
@@ -193,14 +186,8 @@ fn crash_recover(
     let ts = world.db.strong_read_ts();
     world.cache.restart(
         |q| {
-            world
-                .db
-                .run_query(
-                    &q.without_window(),
-                    Consistency::AtTimestamp(ts),
-                    &Caller::Service,
-                )
-                .map(|r| r.documents)
+            ListenSnapshot::read_at(&world.db, q.clone(), &Caller::Service, ts)
+                .map(ListenSnapshot::into_documents)
         },
         ts,
     );
@@ -217,10 +204,15 @@ fn crash_recover(
 /// (`world.recorder`).
 pub fn run_history_workload(world: &HistoryWorld, cfg: &HistoryConfig) -> HistoryOutcome {
     let mut rng = SimRng::new(cfg.seed);
-    if cfg.chaos {
-        let injector = chaos_injector(world, cfg.seed ^ 0x51D);
+    let disk = world
+        .spanner
+        .durability()
+        .expect("the history world is durable");
+    let injector = cfg.chaos.then(|| chaos_injector(world, cfg.seed ^ 0x51D));
+    if let Some(injector) = &injector {
         world.spanner.set_fault_injector(Some(injector.clone()));
-        world.cache.set_fault_injector(Some(injector));
+        world.cache.set_fault_injector(Some(injector.clone()));
+        disk.set_fault_injector(Some(injector.clone()));
     }
 
     let mut queries: HashMap<u64, Query> = HashMap::new();
@@ -414,6 +406,7 @@ pub fn run_history_workload(world: &HistoryWorld, cfg: &HistoryConfig) -> Histor
     // everything until listeners are current.
     world.spanner.set_fault_injector(None);
     world.cache.set_fault_injector(None);
+    disk.set_fault_injector(None);
     for _ in 0..32 {
         world.clock.advance(Duration::from_secs(2));
         let _ = client.sync();
@@ -439,6 +432,7 @@ pub fn run_history_workload(world: &HistoryWorld, cfg: &HistoryConfig) -> Histor
         final_ts,
         crashes,
         commits,
+        faults: injector.map(|i| i.trace()).unwrap_or_default(),
     }
 }
 

@@ -12,6 +12,42 @@ use firestore_core::FirestoreDatabase;
 use realtime::{RealtimeCache, RealtimeOptions};
 use simkit::{Duration, SimClock};
 use spanner::SpannerDatabase;
+use std::path::{Path, PathBuf};
+use std::str::FromStr;
+
+/// Environment variable `name` parsed as `T`, or `default` when unset — how
+/// every suite reads its replay seed and case count. A set but malformed
+/// value panics, so a mistyped replay never silently runs the fixed seed.
+pub fn env_or<T: FromStr>(name: &str, default: T) -> T {
+    env_var(name).unwrap_or(default)
+}
+
+/// [`env_or`] for suites whose fixed seeds change when the variable is set:
+/// `None` when unset, a panic when malformed.
+pub fn env_var<T: FromStr>(name: &str) -> Option<T> {
+    let raw = std::env::var(name).ok()?;
+    match raw.trim().parse() {
+        Ok(value) => Some(value),
+        Err(_) => panic!(
+            "{name} must be a {}, got {raw:?}",
+            std::any::type_name::<T>()
+        ),
+    }
+}
+
+/// Where a suite writes the artifact `file` (a counterexample, a golden
+/// mismatch): the workspace `target/`, which CI uploads. Tests run from
+/// `crates/bench`, so a relative `target/` would not exist; the directory
+/// is created here.
+pub fn artifact_path(file: &str) -> PathBuf {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../target")
+        .join(file);
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir).expect("create the artifact directory");
+    }
+    path
+}
 
 /// Rules granting everything — for suites exercising layers below
 /// security.

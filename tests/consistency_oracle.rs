@@ -35,19 +35,13 @@ fn check(world: &HistoryWorld, out: &workloads::HistoryOutcome) -> OracleReport 
     )
 }
 
-fn artifact_path(seed: u64) -> std::path::PathBuf {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target");
-    dir.join(format!("consistency_counterexample_{seed}.txt"))
-}
 
 /// The oracle accepts histories from seeded chaos + crash-recovery runs.
 #[test]
 fn oracle_passes_on_seeded_chaos_workloads() {
-    let mut seeds: Vec<u64> = vec![0x0A11CE, 0xB0B5EED, 0xC3D4E5];
-    if let Ok(s) = std::env::var("HISTORY_SEED") {
-        let seed: u64 = s
-            .parse()
-            .unwrap_or_else(|_| panic!("HISTORY_SEED must be a u64, got {s:?}"));
+    let fixed = [0x0A11CE, 0xB0B5EED, 0xC3D4E5];
+    let mut seeds: Vec<u64> = fixed.to_vec();
+    if let Some(seed) = common::env_var("HISTORY_SEED") {
         println!("consistency oracle: HISTORY_SEED={seed}");
         seeds.push(seed);
     }
@@ -55,9 +49,16 @@ fn oracle_passes_on_seeded_chaos_workloads() {
         let world = HistoryWorld::build();
         let out = run_history_workload(&world, &HistoryConfig::new(seed));
         assert!(out.commits > 0, "seed {seed}: workload committed nothing");
+        if fixed.contains(&seed) {
+            // The chaos plan declares fsync failures; the run must fire them.
+            assert!(
+                out.faults.iter().any(|f| f.site == "disk-fsync"),
+                "seed {seed}: the chaos run injected no disk-fsync fault"
+            );
+        }
         let report = check(&world, &out);
         if !report.passed() {
-            let path = artifact_path(seed);
+            let path = common::artifact_path(&format!("consistency_counterexample_{seed}.txt"));
             let _ = std::fs::write(&path, &report.report);
             panic!(
                 "seed {seed}: oracle rejected a clean history \

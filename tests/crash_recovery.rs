@@ -430,10 +430,7 @@ fn run(seed: u64, arm: Option<(&str, u64)>) -> (CrashPoints, bool) {
 }
 
 fn crash_seed() -> u64 {
-    std::env::var("CRASH_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xC0FFEE)
+    common::env_or("CRASH_SEED", 0xC0FFEE)
 }
 
 /// The full sweep: enumerate every crash site the workload reaches, then

@@ -11,6 +11,8 @@
 //! violation report is written to `target/fanout_counterexample_<seed>.txt`
 //! so the failure replays from the file alone.
 
+mod common;
+
 use firestore_core::database::doc;
 use firestore_core::{Caller, Consistency, FirestoreDatabase, Query, Value, Write};
 use realtime::{ListenEvent, RealtimeCache, RealtimeOptions, ResetCause};
@@ -24,29 +26,16 @@ use workloads::fanout::{run_fanout, FanoutConfig, FanoutReport};
 const FIXED_SEEDS: &[u64] = &[0xFA_001, 0xFA_002, 7];
 
 fn suite_seeds() -> Vec<u64> {
-    match std::env::var("FANOUT_SEED") {
-        Ok(s) => {
-            let seed = s
-                .trim()
-                .parse::<u64>()
-                .unwrap_or_else(|_| panic!("FANOUT_SEED must be a u64, got {s:?}"));
-            vec![seed]
-        }
-        Err(_) => FIXED_SEEDS.to_vec(),
+    match common::env_var("FANOUT_SEED") {
+        Some(seed) => vec![seed],
+        None => FIXED_SEEDS.to_vec(),
     }
-}
-
-/// Workspace-root `target/` directory (tests run from `crates/bench`).
-fn artifact_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target")
 }
 
 /// Write the counterexample artifact and return its path for the panic
 /// message.
 fn write_counterexample(seed: u64, cfg: &FanoutConfig, report: &FanoutReport, why: &str) -> PathBuf {
-    let dir = artifact_dir();
-    std::fs::create_dir_all(&dir).ok();
-    let path = dir.join(format!("fanout_counterexample_{seed}.txt"));
+    let path = common::artifact_path(&format!("fanout_counterexample_{seed}.txt"));
     let oracle = report
         .oracle
         .as_ref()

@@ -13,6 +13,8 @@
 //!   render a plan, and EXPLAIN ANALYZE must agree with the executor's
 //!   actual work counters.
 
+mod common;
+
 use client::{ClientOptions, FirestoreClient};
 use firestore_core::database::{create_index_blocking, doc};
 use firestore_core::index::IndexedField;
@@ -719,10 +721,8 @@ fn golden_trace_and_metrics_are_byte_identical() {
     for (file, actual) in [("trace.txt", &trace), ("metrics.json", &metrics)] {
         let expected = std::fs::read_to_string(golden.join(file)).unwrap_or_default();
         if &expected != actual {
-            let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("../../target/golden_actual");
-            std::fs::create_dir_all(&out).expect("mkdir");
-            std::fs::write(out.join(file), actual).expect("write actual");
+            let out = common::artifact_path(&format!("golden_actual/{file}"));
+            std::fs::write(out, actual).expect("write actual");
             mismatched.push(file);
         }
     }

@@ -12,6 +12,8 @@
 //! The file also pins the executor's limit-pushdown invariant: a limit-k
 //! query examines O(k) index entries regardless of index size.
 
+mod common;
+
 use firestore_core::database::{create_index_blocking, doc, FirestoreDatabase};
 use firestore_core::index::IndexedField;
 use firestore_core::matching::{matches_document, order_key};
@@ -179,14 +181,8 @@ fn oracle(query: &Query, docs: &[Document]) -> Option<Vec<DocumentName>> {
 
 #[test]
 fn random_queries_match_full_scan_oracle() {
-    let seed: u64 = std::env::var("CONFORMANCE_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xF1DE_5707);
-    let cases: usize = std::env::var("CONFORMANCE_CASES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1000);
+    let seed: u64 = common::env_or("CONFORMANCE_SEED", 0xF1DE_5707);
+    let cases: usize = common::env_or("CONFORMANCE_CASES", 1000);
     println!("query conformance: CONFORMANCE_SEED={seed} CONFORMANCE_CASES={cases}");
 
     let queries_per_world = 40;
@@ -587,14 +583,8 @@ fn matcher_differential_round(
 
 #[test]
 fn matcher_tree_matches_brute_force_scan() {
-    let seed: u64 = std::env::var("MATCHER_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xF1DE_5711);
-    let cases: usize = std::env::var("MATCHER_CASES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(800);
+    let seed: u64 = common::env_or("MATCHER_SEED", 0xF1DE_5711);
+    let cases: usize = common::env_or("MATCHER_CASES", 800);
     println!("matcher differential: MATCHER_SEED={seed} MATCHER_CASES={cases}");
     let probes_per_round = 20;
     let rounds = cases.div_ceil(probes_per_round);
@@ -607,13 +597,13 @@ fn matcher_tree_matches_brute_force_scan() {
         if mismatches > 0 {
             // Persist every disagreement for CI's failure-artifact upload;
             // seed + round replays the exact sequence locally.
-            let path = format!("target/matcher_counterexample_{seed}_{round}.txt");
+            let path = common::artifact_path(&format!("matcher_counterexample_{seed}_{round}.txt"));
             let body = format!(
                 "MATCHER_SEED={seed} round {round}: {mismatches} divergent probes\n\n{}",
                 witnesses.join("\n\n")
             );
             if std::fs::write(&path, &body).is_ok() {
-                eprintln!("(counterexample written to {path})");
+                eprintln!("(counterexample written to {})", path.display());
             }
             panic!(
                 "MATCHER_SEED={seed} round {round}: matcher tree diverged from \

@@ -15,6 +15,8 @@
 //! makes the compiled engine diverge from the interpreter on targeted
 //! cases and on a fixed corpus sweep.
 
+mod common;
+
 use proptest::test_runner::TestRng;
 use rules::ast::*;
 use rules::compile;
@@ -26,21 +28,11 @@ use rules::{AuthContext, EmptyDataSource, LoweringMutation, Method, RequestConte
 const DEFAULT_SEED: u64 = 0xF1DE_5703;
 
 fn seed() -> u64 {
-    match std::env::var("RULES_SEED") {
-        Ok(s) => s
-            .parse()
-            .unwrap_or_else(|_| panic!("RULES_SEED must be a u64, got {s:?}")),
-        Err(_) => DEFAULT_SEED,
-    }
+    common::env_or("RULES_SEED", DEFAULT_SEED)
 }
 
 fn cases() -> usize {
-    match std::env::var("RULES_CASES") {
-        Ok(s) => s
-            .parse()
-            .unwrap_or_else(|_| panic!("RULES_CASES must be a usize, got {s:?}")),
-        Err(_) => 1000,
-    }
+    common::env_or("RULES_CASES", 1000)
 }
 
 // --- generators ----------------------------------------------------------
@@ -380,9 +372,9 @@ fn report_divergence(seed: u64, case: usize, rs: &Ruleset, req: &RequestContext)
         render_ruleset(&minimal),
     );
     // Persist the shrunk counterexample for CI's failure-artifact upload.
-    let path = format!("target/rules_counterexample_{seed:#x}_{case}.txt");
+    let path = common::artifact_path(&format!("rules_counterexample_{seed:#x}_{case}.txt"));
     if std::fs::write(&path, &rendered).is_ok() {
-        eprintln!("(counterexample written to {path})");
+        eprintln!("(counterexample written to {})", path.display());
     }
     panic!("{rendered}");
 }

@@ -22,18 +22,15 @@
 //! random seeds); on oracle failure the rendered counterexample is
 //! written to `target/fleet_counterexample_<seed>.txt`.
 
+mod common;
+
 use firestore_core::checker::check_history;
 use firestore_core::database::doc;
 use firestore_core::{Caller, Consistency};
 use workloads::fleet::{is_adversary, run_fleet, FleetConfig, FleetWorld, HAMMER_DB};
 
 fn fleet_seed() -> u64 {
-    match std::env::var("FLEET_SEED") {
-        Ok(s) => s
-            .parse()
-            .unwrap_or_else(|_| panic!("FLEET_SEED must be a u64, got {s:?}")),
-        Err(_) => FleetConfig::default().seed,
-    }
+    common::env_or("FLEET_SEED", FleetConfig::default().seed)
 }
 
 fn config(adversaries: bool) -> FleetConfig {
@@ -45,9 +42,7 @@ fn config(adversaries: bool) -> FleetConfig {
 }
 
 fn counterexample_path(seed: u64) -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../target")
-        .join(format!("fleet_counterexample_{seed}.txt"))
+    common::artifact_path(&format!("fleet_counterexample_{seed}.txt"))
 }
 
 /// The tentpole assertion: an abusive fleet's conforming majority keeps
@@ -180,7 +175,6 @@ fn oracle_and_clients_pass_over_abusive_fleet_run() {
         let oracle = check_history(&events, db.directory(), &report.queries, report.final_ts);
         if !oracle.passed() {
             let path = counterexample_path(cfg.seed);
-            let _ = std::fs::create_dir_all(path.parent().unwrap());
             let _ = std::fs::write(&path, &oracle.report);
             panic!(
                 "oracle failed on {name} (seed {:#x}, {} violations, report at {}):\n{}",
