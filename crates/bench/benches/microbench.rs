@@ -175,7 +175,7 @@ fn bench_realtime(c: &mut Criterion) {
     clock.advance(Duration::from_secs(1));
     let spanner = SpannerDatabase::new(clock);
     let db = FirestoreDatabase::create_default(spanner.clone());
-    let cache = RealtimeCache::new(spanner.truetime().clone(), RealtimeOptions::default());
+    let cache = RealtimeCache::new(&spanner, RealtimeOptions::default());
     db.set_observer(cache.observer_for(db.directory()));
     // 100 listeners on the collection.
     let conns: Vec<_> = (0..100)

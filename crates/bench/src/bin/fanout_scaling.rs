@@ -62,7 +62,7 @@ fn measure(listeners: usize) -> ScaleRow {
     let mut opts = RealtimeOptions::default();
     // The batched path: changelog application deferred to the flush.
     opts.fanout.flush_interval = Duration::from_millis(50);
-    let cache = RealtimeCache::new(spanner.truetime().clone(), opts);
+    let cache = RealtimeCache::new(&spanner, opts);
     db.set_observer(cache.observer_for(db.directory()));
 
     for d in 0..HOT_DOCS {
@@ -192,7 +192,7 @@ fn profile_pass(listeners: usize) {
     let db = FirestoreDatabase::create_default(spanner.clone());
     let mut opts = RealtimeOptions::default();
     opts.fanout.flush_interval = Duration::from_millis(50);
-    let cache = RealtimeCache::new(spanner.truetime().clone(), opts);
+    let cache = RealtimeCache::new(&spanner, opts);
     cache.set_obs(Some(obs.clone()));
     db.set_observer(cache.observer_for(db.directory()));
 

@@ -816,7 +816,7 @@ mod tests {
         let spanner = SpannerDatabase::new(clock);
         let db = FirestoreDatabase::create_default(spanner.clone());
         db.set_rules(OPEN_RULES).unwrap();
-        let cache = RealtimeCache::new(spanner.truetime().clone(), RealtimeOptions::default());
+        let cache = RealtimeCache::new(&spanner, RealtimeOptions::default());
         db.set_observer(cache.observer_for(db.directory()));
         (db, cache)
     }
@@ -935,6 +935,32 @@ mod tests {
         assert_eq!(snaps.len(), 1);
         assert_eq!(snaps[0].documents.len(), 2);
         assert!(!snaps[0].from_cache);
+    }
+
+    #[test]
+    fn offset_listener_shows_the_queried_window() {
+        let (db, rtc) = setup();
+        let c = client(&db, &rtc);
+        for i in 0..5 {
+            c.set(&format!("/todos/{i}"), [("n", Value::Int(i))])
+                .unwrap();
+        }
+        let q = Query::parse("/todos")
+            .unwrap()
+            .order_by("n", firestore_core::Direction::Asc)
+            .limit(2)
+            .offset(1);
+        let names = |docs: &[Document]| -> Vec<String> {
+            docs.iter().map(|d| d.name.id().to_string()).collect()
+        };
+        let id = c.listen(q.clone()).unwrap();
+        let shown = names(&c.take_snapshots(id)[0].documents);
+        let served = db
+            .run_query(&q, Consistency::Strong, &Caller::Service)
+            .unwrap();
+        assert_eq!(shown, ["1", "2"], "the offset is skipped once");
+        assert_eq!(shown, names(&c.query(&q).unwrap()));
+        assert_eq!(shown, names(&served.documents));
     }
 
     #[test]
@@ -1328,7 +1354,7 @@ mod tests {
             1.0,
         ));
         let injector = FaultInjector::new(clock, plan);
-        db.spanner().set_fault_injector(Some(injector.clone()));
+        db.spanner().env().set_chaos(Some(injector.clone()));
         c.set("/todos/1", [("t", Value::from("x"))]).unwrap();
         assert_eq!(c.pending_writes(), 1, "write stays queued");
         assert!(c.take_write_errors().is_empty(), "transient, not rejected");
@@ -1338,7 +1364,7 @@ mod tests {
             "budget bounds the attempt count, got {attempts}"
         );
         // The outage ends: the next sync flushes the queue.
-        db.spanner().set_fault_injector(None);
+        db.spanner().env().set_chaos(None);
         c.sync().unwrap();
         assert_eq!(c.pending_writes(), 0);
     }
@@ -1351,7 +1377,7 @@ mod tests {
         let sp = db.spanner().clone();
         sp.attach_durability(SimDisk::new());
         let cp = CrashPoints::new();
-        sp.set_crash_points(Some(cp.clone()));
+        sp.env().set_crash_points(Some(cp.clone()));
         // Crash inside the ambiguous window: the commit (document + dedup
         // ledger row) is durably logged but never acknowledged.
         cp.arm("commit-after-outcome", 0);

@@ -49,7 +49,7 @@ pub struct ListenerState {
 impl ListenerState {
     /// Build a listener over the current merged store contents.
     pub fn new(id: ListenerId, query: Query, store: &LocalStore) -> ListenerState {
-        let initial = local_results(&query, store);
+        let initial = local_matches(&query, store);
         let view = QueryView::new(query.clone(), initial);
         ListenerState {
             id,
@@ -90,7 +90,7 @@ impl ListenerState {
     /// ([`QueryView::catch_up`]) and queue a snapshot of the window's
     /// deltas, if there are any.
     pub fn reconcile(&mut self, store: &LocalStore) {
-        let deltas = self.view.catch_up(local_results(&self.query, store));
+        let deltas = self.view.catch_up(local_matches(&self.query, store));
         self.push(deltas, false);
     }
 
@@ -114,6 +114,13 @@ impl ListenerState {
 /// Execute `query` against the merged local store (the SDK's local query
 /// engine over its local indexes, §IV-E). Results are windowed.
 pub fn local_results(query: &Query, store: &LocalStore) -> Vec<Document> {
+    apply_window(local_matches(query, store), query.offset, query.limit).collect()
+}
+
+/// The first `offset + limit` local matches of `query` in query order,
+/// with the offset not yet skipped: a listener's view is seeded with
+/// these, and the view applies the window itself.
+fn local_matches(query: &Query, store: &LocalStore) -> Vec<Document> {
     let mut matched: Vec<(Vec<u8>, Document)> = Vec::new();
     for name in store.known_names() {
         if let Some(Some(doc)) = store.merged_doc(&name) {
@@ -125,12 +132,8 @@ pub fn local_results(query: &Query, store: &LocalStore) -> Vec<Document> {
         }
     }
     matched.sort_by(|a, b| a.0.cmp(&b.0));
-    apply_window(
-        matched.into_iter().map(|(_, d)| d),
-        query.offset,
-        query.limit,
-    )
-    .collect()
+    let reach = query.limit.map(|limit| query.offset.saturating_add(limit));
+    apply_window(matched.into_iter().map(|(_, d)| d), 0, reach).collect()
 }
 
 #[cfg(test)]

@@ -220,19 +220,13 @@ impl LocalStore {
         out
     }
 
-    /// Restore a persisted cache (warm start). Understands the current v2
-    /// format (magic header, session id, stable mutation ids) and falls
-    /// back to the legacy headerless layout, which predates idempotent
-    /// write ids and gets a fresh session.
+    /// Restore a persisted cache (warm start) from the v2 format (magic
+    /// header, session id, stable mutation ids); `None` for anything else.
     pub fn restore(bytes: &[u8]) -> Option<LocalStore> {
-        if bytes.len() >= 5 && bytes[..4] == PERSIST_MAGIC {
-            if bytes[4] != PERSIST_VERSION {
-                return None;
-            }
-            LocalStore::restore_v2(&bytes[5..])
-        } else {
-            LocalStore::restore_legacy(bytes)
-        }
+        let body = bytes
+            .strip_prefix(&PERSIST_MAGIC)?
+            .strip_prefix(&[PERSIST_VERSION])?;
+        LocalStore::restore_v2(body)
     }
 
     fn restore_v2(bytes: &[u8]) -> Option<LocalStore> {
@@ -259,25 +253,6 @@ impl LocalStore {
             }
             let write = read_pending_write(bytes, &mut pos)?;
             store.pending.insert(id, PendingMutation { id, write });
-        }
-        if pos != bytes.len() {
-            return None;
-        }
-        Some(store)
-    }
-
-    fn restore_legacy(bytes: &[u8]) -> Option<LocalStore> {
-        let mut store = LocalStore::new();
-        let mut pos = 0usize;
-        let n_docs = read_u32(bytes, &mut pos)?;
-        for _ in 0..n_docs {
-            let (name, entry) = read_server_entry(bytes, &mut pos)?;
-            store.server.insert(name, entry);
-        }
-        let n_pending = read_u32(bytes, &mut pos)?;
-        for _ in 0..n_pending {
-            let write = read_pending_write(bytes, &mut pos)?;
-            store.enqueue(write);
         }
         if pos != bytes.len() {
             return None;
@@ -466,10 +441,10 @@ mod tests {
     }
 
     #[test]
-    fn legacy_blob_without_header_still_restores() {
-        // Hand-encode the legacy (headerless) layout: no docs, one pending
-        // delete. Legacy caches predate idempotent ids, so the restored
-        // store gets a fresh session.
+    fn blob_without_header_is_rejected() {
+        // Hand-encode the headerless layout v2 replaced: no docs, one
+        // pending delete. Nothing writes it any more, so it does not
+        // restore.
         let mut blob = Vec::new();
         blob.extend_from_slice(&0u32.to_be_bytes());
         blob.extend_from_slice(&1u32.to_be_bytes());
@@ -477,9 +452,7 @@ mod tests {
         blob.extend_from_slice(&(name_enc.len() as u32).to_be_bytes());
         blob.extend_from_slice(&name_enc);
         blob.extend_from_slice(&u32::MAX.to_be_bytes());
-        let s = LocalStore::restore(&blob).unwrap();
-        assert_eq!(s.pending_len(), 1);
-        assert_eq!(s.merged_doc(&name("/c/d")), Some(None));
+        assert!(LocalStore::restore(&blob).is_none());
     }
 
     #[test]

@@ -21,13 +21,12 @@ use crate::write::Precondition;
 use crate::write::{self, Caller, Write, WriteResult, WriteStats};
 use parking_lot::{Mutex, RwLock};
 use rules::{Method, RequestContext, Ruleset};
-use simkit::{CounterHandle, Duration, Metrics, Obs, Timestamp};
+use simkit::{CounterHandle, Duration, Metrics, Obs, TestMutation, Timestamp};
 use spanner::database::DirectoryId;
 use spanner::messaging::MessageQueue;
 use spanner::{ReadWriteTransaction, SpannerDatabase};
 use simkit::history::{HistoryEvent, HistoryRecorder};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Table holding idempotence-ledger rows: one row per client-supplied dedup
@@ -213,10 +212,6 @@ struct Inner {
     /// Control-plane hook: when installed, every entry point consults it
     /// before doing engine work. `None` (the default) means ungated.
     gate: RwLock<Option<Arc<dyn TenantGate>>>,
-    /// Oracle mutation toggle: skip the dedup-ledger read in
-    /// [`FirestoreDatabase::commit_writes_dedup`], re-applying retried
-    /// mutations — a deliberate exactly-once bug the oracle must catch.
-    oracle_ignore_dedup: AtomicBool,
 }
 
 /// A Firestore database handle. Cheap to clone; clones share state.
@@ -247,7 +242,6 @@ impl FirestoreDatabase {
                 queue,
                 options,
                 gate: RwLock::new(None),
-                oracle_ignore_dedup: AtomicBool::new(false),
             }),
         }
     }
@@ -279,18 +273,11 @@ impl FirestoreDatabase {
         self.inner.spanner.obs()
     }
 
-    /// The consistency-oracle history recorder attached to the underlying
-    /// Spanner database, if any (one recorder serves the whole stack).
+    /// The consistency-oracle history recorder installed in the underlying
+    /// Spanner database's [`simkit::SimEnv`], if any (one recorder serves
+    /// the whole stack).
     pub fn history(&self) -> Option<Arc<HistoryRecorder>> {
-        self.inner.spanner.history()
-    }
-
-    /// Oracle mutation toggle (test-only): when enabled,
-    /// [`FirestoreDatabase::commit_writes_dedup`] skips the ledger lookup
-    /// and re-applies retried mutations — a seeded exactly-once bug the
-    /// consistency oracle must detect.
-    pub fn oracle_ignore_dedup_ledger(&self, ignore: bool) {
-        self.inner.oracle_ignore_dedup.store(ignore, Ordering::SeqCst);
+        self.inner.spanner.env().world().history().cloned()
     }
 
     /// This database's series in `obs`'s registry, resolved on first use
@@ -723,7 +710,11 @@ impl FirestoreDatabase {
         let spanner = &self.inner.spanner;
         let key = self.inner.dir.key(dedup_id.as_bytes());
         let mut txn = spanner.begin();
-        let ledger_row = if self.inner.oracle_ignore_dedup.load(Ordering::SeqCst) {
+        let ignore_ledger = matches!(
+            spanner.env().world().mutation(),
+            Some(TestMutation::IgnoreDedupLedger)
+        );
+        let ledger_row = if ignore_ledger {
             Ok(None) // seeded bug: pretend the mutation was never applied
         } else {
             spanner.txn_read_for_update_versioned(&mut txn, WRITE_LEDGER, &key)
@@ -1711,7 +1702,7 @@ mod tests {
             put(&db, &format!("/c/d{i}"), vec![("v", Value::Int(i))]);
         }
         let rec = HistoryRecorder::new();
-        db.spanner().set_history(Some(rec.clone()));
+        db.spanner().env().set_history(Some(rec.clone()));
         let q = Query::parse("/c").unwrap();
         let result = db
             .run_query_partial(&q, Consistency::Strong, &Caller::Service, 3)

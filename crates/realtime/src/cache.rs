@@ -27,14 +27,16 @@ use firestore_core::observer::{
     CommitObserver, CommitOutcome, DocumentChange, PrepareToken, PrepareUnavailable,
 };
 use firestore_core::checker::doc_digest;
-use firestore_core::matchtree::{MatchStats, MatcherTree};
+use firestore_core::matchtree::MatcherTree;
 use firestore_core::{Caller, Consistency, Document, FirestoreDatabase, FirestoreResult, Query};
 use parking_lot::Mutex;
-use simkit::fault::{FaultInjector, FaultKind};
-use simkit::history::{HistoryEvent, HistoryRecorder};
-use simkit::{prof, CounterHandle, Duration, Obs, Timestamp, TrueTime};
+use simkit::fault::FaultKind;
+use simkit::history::HistoryEvent;
+use simkit::{
+    prof, CounterHandle, Duration, Obs, SimEnv, TestMutation, Timestamp, TrueTime, World,
+};
 use spanner::database::DirectoryId;
-use spanner::Key;
+use spanner::{Key, SpannerDatabase};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -237,19 +239,9 @@ struct RtState {
     next_query: u64,
     next_token: u64,
     stats: RealtimeStats,
-    injector: Option<Arc<FaultInjector>>,
     obs: Option<Arc<Instruments>>,
-    /// Consistency-oracle recorder; every listener snapshot and reset is
-    /// recorded while one is attached.
-    history: Option<Arc<HistoryRecorder>>,
-    /// Oracle mutation toggle: silently drop the next `n` routed changes
-    /// (a seeded changelog gap the oracle must catch).
-    oracle_drop_changes: u64,
-    /// Oracle mutation toggle: hold one emitted snapshot back and deliver
-    /// it after a newer one (a seeded ordering bug the oracle must catch).
-    oracle_reorder: bool,
-    /// The snapshot held back by `oracle_reorder`.
-    oracle_stash: Option<Emission>,
+    /// The snapshot held back under [`TestMutation::ReorderDelivery`].
+    held_back: Option<Emission>,
     /// Bounded-cardinality per-connection queue metrics (top-K + other).
     meter: FanoutMeter,
     /// When the changelog backlog was last flushed through the matcher.
@@ -306,13 +298,16 @@ struct Emission {
 #[derive(Clone)]
 pub struct RealtimeCache {
     truetime: TrueTime,
+    /// The world of the Spanner database the cache serves.
+    env: SimEnv,
     opts: RealtimeOptions,
     state: Arc<Mutex<RtState>>,
 }
 
 impl RealtimeCache {
-    /// Create a cache with the given TrueTime source and options.
-    pub fn new(truetime: TrueTime, opts: RealtimeOptions) -> RealtimeCache {
+    /// Create a cache in front of `spanner`, sharing its TrueTime source
+    /// and its simulated world ([`SpannerDatabase::env`]).
+    pub fn new(spanner: &SpannerDatabase, opts: RealtimeOptions) -> RealtimeCache {
         let ranges = if opts.tasks <= 1 {
             RangeMap::single()
         } else {
@@ -321,7 +316,8 @@ impl RealtimeCache {
         let tasks: Vec<TaskState> = (0..ranges.tasks()).map(|_| TaskState::default()).collect();
         let matcher = MatcherTree::new(tasks.len());
         RealtimeCache {
-            truetime,
+            truetime: spanner.truetime().clone(),
+            env: spanner.env().clone(),
             opts,
             state: Arc::new(Mutex::new(RtState {
                 ranges,
@@ -332,24 +328,12 @@ impl RealtimeCache {
                 next_query: 1,
                 next_token: 1,
                 stats: RealtimeStats::default(),
-                injector: None,
                 obs: None,
-                history: None,
-                oracle_drop_changes: 0,
-                oracle_reorder: false,
-                oracle_stash: None,
+                held_back: None,
                 meter: FanoutMeter::new(),
                 last_flush: Timestamp::ZERO,
             })),
         }
-    }
-
-    /// Attach (or clear) a chaos [`FaultInjector`]. While a
-    /// [`FaultKind::CacheUnavailable`] rule fires, Prepare RPCs fail — the
-    /// write path surfaces this as a retriable `Unavailable` ("a failure to
-    /// process the Prepare request fails the write", §IV-D4).
-    pub fn set_fault_injector(&self, injector: Option<Arc<FaultInjector>>) {
-        self.state.lock().injector = injector;
     }
 
     /// Attach (or clear) an observability handle. Prepare/Accept spans and
@@ -363,33 +347,6 @@ impl RealtimeCache {
     /// The attached observability handle, if any.
     pub fn obs(&self) -> Option<Obs> {
         self.state.lock().obs.as_ref().map(|i| i.obs.clone())
-    }
-
-    /// Attach (or clear) the consistency-oracle history recorder. While one
-    /// is attached every listener snapshot and reset is recorded.
-    pub fn set_history(&self, history: Option<Arc<HistoryRecorder>>) {
-        self.state.lock().history = history;
-    }
-
-    /// Oracle mutation toggle (test-only): silently drop the next `n`
-    /// committed changes at the Changelog → Query Matcher hop. A seeded
-    /// gap-in-changelog bug the consistency oracle must detect.
-    pub fn oracle_drop_next_changes(&self, n: u64) {
-        self.state.lock().oracle_drop_changes = n;
-    }
-
-    /// Oracle mutation toggle (test-only): hold one emitted snapshot back
-    /// and deliver it after a newer one, violating §V ordered delivery. A
-    /// seeded reordering bug the consistency oracle must detect.
-    pub fn oracle_reorder_delivery(&self, enable: bool) {
-        self.state.lock().oracle_reorder = enable;
-    }
-
-    /// Record `event` if a recorder is attached.
-    fn record(st: &RtState, event: HistoryEvent) {
-        if let Some(h) = &st.history {
-            h.record(event);
-        }
     }
 
     /// The `(name, digest)` list the oracle compares against the model:
@@ -410,11 +367,6 @@ impl RealtimeCache {
     /// registration count when listeners multiplex onto shared shapes.
     pub fn matcher_shape_count(&self) -> usize {
         self.state.lock().matcher.shape_count()
-    }
-
-    /// Cumulative Query Matcher cost counters.
-    pub fn matcher_stats(&self) -> MatchStats {
-        self.state.lock().matcher.stats()
     }
 
     /// Structural consistency check of the Query Matcher tree against the
@@ -487,6 +439,7 @@ impl RealtimeCache {
     /// range", §IV-D4). Call this on a timer (the serving layer does).
     pub fn tick(&self) {
         let now = self.truetime.clock().now();
+        let world = self.env.world();
         let mut st = self.state.lock();
         // Expire pending prepares past max + margin: unknown outcome.
         let mut expired: Vec<Vec<Vec<u8>>> = Vec::new();
@@ -512,7 +465,7 @@ impl RealtimeCache {
             }
         }
         for buckets in expired {
-            Self::reset_matching(&mut st, &buckets, "prepare-expired", now);
+            Self::reset_matching(&mut st, &buckets, "prepare-expired", now, &world);
         }
         // Flush the batched changelog when its interval elapses (eager mode
         // keeps the backlog empty, so this is a no-op there).
@@ -523,10 +476,10 @@ impl RealtimeCache {
                 || now.saturating_sub(st.last_flush) >= interval
                 || backlogged >= CHANGELOG_FLUSH_CHANGES)
         {
-            self.flush_backlogs(&mut st, now);
+            self.flush_backlogs(&mut st, now, &world);
         }
-        self.enforce_overload(&mut st, now);
-        self.advance_all(&mut st);
+        self.enforce_overload(&mut st, now, &world);
+        self.advance_all(&mut st, &world);
         // Bounded per-connection queue gauges: top-K + "other".
         let st = &mut *st;
         if let Some(o) = &st.obs {
@@ -561,6 +514,7 @@ impl RealtimeCache {
         snapshot_ts: Timestamp,
     ) -> usize {
         let now = self.truetime.clock().now();
+        let world = self.env.world();
         let mut st = self.state.lock();
         let st = &mut *st;
         for task in st.tasks.iter_mut() {
@@ -570,7 +524,7 @@ impl RealtimeCache {
             task.backlog.clear();
             task.watermark = task.watermark.max(snapshot_ts);
         }
-        let record = st.history.is_some();
+        let record = world.history().is_some();
         let mut targets: Vec<(ConnectionId, QueryId)> = st
             .conns
             .iter()
@@ -594,11 +548,12 @@ impl RealtimeCache {
                     caught_up += 1;
                     if !deltas.is_empty() {
                         let e = qs.emission(conn_id, qid, snapshot_ts, deltas, false, record);
-                        Self::deliver(st, e, now);
+                        Self::deliver(st, e, now, &world);
                     }
                 }
                 Err(_) => {
-                    Self::end_listener(st, conn_id, qid, Some((ResetCause::Fault, "requery")), now)
+                    let reset = Some((ResetCause::Fault, "requery"));
+                    Self::end_listener(st, conn_id, qid, reset, now, &world)
                 }
             }
         }
@@ -622,6 +577,7 @@ impl RealtimeCache {
         names: &[firestore_core::DocumentName],
         max_ts: Timestamp,
     ) -> Result<(PrepareToken, Timestamp), PrepareUnavailable> {
+        let world = self.env.world();
         let mut st = self.state.lock();
         let instruments = st.obs.clone();
         let span = instruments.as_ref().map(|i| i.obs.tracer.span("rtc.prepare"));
@@ -629,11 +585,7 @@ impl RealtimeCache {
             s.attr("names", names.len());
             s.attr("max_ts", max_ts.as_nanos());
         }
-        if st
-            .injector
-            .as_ref()
-            .is_some_and(|inj| inj.should_inject(FaultKind::CacheUnavailable, "rtc-prepare"))
-        {
+        if world.inject(FaultKind::CacheUnavailable, "rtc-prepare") {
             if let Some(i) = &instruments {
                 i.prepare_unavailable.incr(1);
             }
@@ -679,6 +631,7 @@ impl RealtimeCache {
         outcome: CommitOutcome,
         changes: Vec<DocumentChange>,
     ) {
+        let world = self.env.world();
         let mut st = self.state.lock();
         st.stats.accepts += 1;
         let instruments = st.obs.clone();
@@ -718,8 +671,7 @@ impl RealtimeCache {
                     // Oracle mutation: silently drop the next N changelog
                     // entries — affected listeners never see the write (§V
                     // delivery violated).
-                    if st.oracle_drop_changes > 0 {
-                        st.oracle_drop_changes -= 1;
+                    if world.drop_change() {
                         continue;
                     }
                     // The change's true key: the writing database's
@@ -735,9 +687,9 @@ impl RealtimeCache {
                 if self.opts.fanout.flush_interval == Duration::ZERO
                     || backlogged >= CHANGELOG_FLUSH_CHANGES
                 {
-                    self.flush_backlogs(&mut st, now);
+                    self.flush_backlogs(&mut st, now, &world);
                 }
-                self.enforce_overload(&mut st, now);
+                self.enforce_overload(&mut st, now, &world);
             }
             CommitOutcome::Failed => {
                 // Dropped; nothing was committed.
@@ -749,10 +701,10 @@ impl RealtimeCache {
                     o.obs.metrics.incr("rtc.resets", &[("cause", "unknown-outcome")], 1);
                 }
                 let now = self.truetime.clock().now();
-                Self::reset_matching(&mut st, &pending_buckets, "unknown-outcome", now);
+                Self::reset_matching(&mut st, &pending_buckets, "unknown-outcome", now, &world);
             }
         }
-        self.advance_all(&mut st);
+        self.advance_all(&mut st, &world);
     }
 
     /// Route every backlogged committed change through the Query Matcher
@@ -761,7 +713,7 @@ impl RealtimeCache {
     /// descent per distinct collection, so a burst of writes to a hot
     /// collection costs one descent, and the shared `Arc` payload means a
     /// change fanning out to 10⁵ listeners costs 10⁵ pointers.
-    fn flush_backlogs(&self, st: &mut RtState, now: Timestamp) {
+    fn flush_backlogs(&self, st: &mut RtState, now: Timestamp, world: &World) {
         st.last_flush = now;
         let instruments = st.obs.clone();
         let flush_span = instruments
@@ -846,13 +798,8 @@ impl RealtimeCache {
         over_buffer.sort_unstable();
         over_buffer.dedup();
         for (conn_id, qid) in over_buffer {
-            Self::end_listener(
-                st,
-                conn_id,
-                qid,
-                Some((ResetCause::Overload, "buffer")),
-                now,
-            );
+            let reset = Some((ResetCause::Overload, "buffer"));
+            Self::end_listener(st, conn_id, qid, reset, now, world);
         }
     }
 
@@ -861,7 +808,7 @@ impl RealtimeCache {
     /// The shed listener's queued deltas are dropped (the catch-up path
     /// recovers it); conforming listeners on other connections are never
     /// delayed.
-    fn enforce_overload(&self, st: &mut RtState, now: Timestamp) {
+    fn enforce_overload(&self, st: &mut RtState, now: Timestamp, world: &World) {
         let deadline = self.opts.fanout.stall_deadline;
         let mut shed: Vec<(ConnectionId, &'static str)> = Vec::new();
         for (conn_id, conn) in st.conns.iter() {
@@ -885,7 +832,8 @@ impl RealtimeCache {
             }
             qids.sort_unstable();
             for (conn_id, qid) in qids {
-                Self::end_listener(st, conn_id, qid, Some((ResetCause::Overload, reason)), now);
+                let reset = Some((ResetCause::Overload, reason));
+                Self::end_listener(st, conn_id, qid, reset, now, world);
             }
         }
     }
@@ -896,7 +844,13 @@ impl RealtimeCache {
     /// watching those collections, never to total registrations — and is
     /// exact because matching is bucket-exact: a query outside the bucket
     /// can never have observed the affected documents.
-    fn reset_matching(st: &mut RtState, buckets: &[Vec<u8>], reason: &'static str, now: Timestamp) {
+    fn reset_matching(
+        st: &mut RtState,
+        buckets: &[Vec<u8>],
+        reason: &'static str,
+        now: Timestamp,
+        world: &World,
+    ) {
         let mut targets: Vec<(ConnectionId, QueryId)> = Vec::new();
         let mut seen: Vec<&Vec<u8>> = Vec::new();
         for b in buckets {
@@ -909,7 +863,8 @@ impl RealtimeCache {
         targets.sort_unstable();
         targets.dedup();
         for (conn_id, qid) in targets {
-            Self::end_listener(st, conn_id, qid, Some((ResetCause::Fault, reason)), now);
+            let reset = Some((ResetCause::Fault, reason));
+            Self::end_listener(st, conn_id, qid, reset, now, world);
         }
     }
 
@@ -925,6 +880,7 @@ impl RealtimeCache {
         qid: QueryId,
         reset: Option<(ResetCause, &'static str)>,
         now: Timestamp,
+        world: &World,
     ) {
         st.matcher.unregister(&(conn_id, qid));
         let Some(conn) = st.conns.get_mut(&conn_id) else {
@@ -950,58 +906,52 @@ impl RealtimeCache {
                 );
             }
         }
-        Self::record(
-            st,
-            HistoryEvent::ListenerReset {
-                dir: qs.dir.prefix(),
-                conn: conn_id.0,
-                query: qid.0,
-            },
-        );
+        world.record(HistoryEvent::ListenerReset {
+            dir: qs.dir.prefix(),
+            conn: conn_id.0,
+            query: qid.0,
+        });
     }
 
     /// The one delivery path: every snapshot a listener receives — the
     /// initial one from [`Connection::listen`], the incremental ones from
     /// `pump`, the catch-up ones from [`RealtimeCache::restart`] — is
     /// counted, recorded for the oracle, metered and queued here.
-    fn deliver(st: &mut RtState, e: Emission, now: Timestamp) {
+    fn deliver(st: &mut RtState, e: Emission, now: Timestamp, world: &World) {
         // Oracle mutation: hold a snapshot back and deliver it only after a
         // newer one on the same connection — §V ordered delivery violated.
-        if st.oracle_reorder {
-            match st.oracle_stash.take() {
+        if world.mutation() == Some(TestMutation::ReorderDelivery) {
+            match st.held_back.take() {
                 None => {
-                    st.oracle_stash = Some(e);
+                    st.held_back = Some(e);
                     return;
                 }
                 Some(held) if held.conn == e.conn => {
-                    Self::emit(st, e, now);
-                    Self::emit(st, held, now);
+                    Self::emit(st, e, now, world);
+                    Self::emit(st, held, now, world);
                     return;
                 }
-                held => st.oracle_stash = held,
+                held => st.held_back = held,
             }
         }
-        Self::emit(st, e, now);
+        Self::emit(st, e, now, world);
     }
 
-    fn emit(st: &mut RtState, e: Emission, now: Timestamp) {
+    fn emit(st: &mut RtState, e: Emission, now: Timestamp, world: &World) {
         // The initial snapshot is the listener's starting state, not a
         // notification.
         if !e.is_initial {
             st.stats.notifications += e.changes.len() as u64;
         }
         st.stats.snapshots += 1;
-        Self::record(
-            st,
-            HistoryEvent::ListenerSnapshot {
-                dir: e.dir,
-                conn: e.conn.0,
-                query: e.query.0,
-                at: e.at,
-                initial: e.is_initial,
-                visible: e.visible,
-            },
-        );
+        world.record(HistoryEvent::ListenerSnapshot {
+            dir: e.dir,
+            conn: e.conn.0,
+            query: e.query.0,
+            at: e.at,
+            initial: e.is_initial,
+            visible: e.visible,
+        });
         let event = ListenEvent::Snapshot {
             query: e.query,
             at: e.at,
@@ -1019,7 +969,7 @@ impl RealtimeCache {
     /// *pulled* by connections at pump time (no per-listener push state):
     /// a task's sequence is complete up to just before its earliest
     /// pending Prepare or unrouted backlog entry.
-    fn advance_all(&self, st: &mut RtState) {
+    fn advance_all(&self, st: &mut RtState, world: &World) {
         let safe_now = self.truetime.strong_read_timestamp();
         for task in st.tasks.iter_mut() {
             let pend_min = task
@@ -1044,7 +994,7 @@ impl RealtimeCache {
         let task_watermarks: Vec<Timestamp> = st.tasks.iter().map(|t| t.watermark).collect();
         let conn_ids: Vec<ConnectionId> = st.conns.keys().copied().collect();
         for conn in conn_ids {
-            self.pump(st, conn, &task_watermarks);
+            self.pump(st, conn, &task_watermarks, world);
         }
     }
 
@@ -1055,8 +1005,14 @@ impl RealtimeCache {
     /// queue at or above its watermark) nothing is materialized: changes
     /// stay coalescing in the delta buffers and `resume` does not move, so
     /// a later pump picks up exactly where this one left off.
-    fn pump(&self, st: &mut RtState, conn_id: ConnectionId, task_watermarks: &[Timestamp]) {
-        let record = st.history.is_some();
+    fn pump(
+        &self,
+        st: &mut RtState,
+        conn_id: ConnectionId,
+        task_watermarks: &[Timestamp],
+        world: &World,
+    ) {
+        let record = world.history().is_some();
         let Some(conn) = st.conns.get_mut(&conn_id) else {
             return;
         };
@@ -1135,7 +1091,7 @@ impl RealtimeCache {
         }
         let now = self.truetime.clock().now();
         for e in emitted {
-            Self::deliver(st, e, now);
+            Self::deliver(st, e, now, world);
         }
     }
 }
@@ -1167,6 +1123,7 @@ impl Connection {
         initial: Vec<Document>,
         snapshot_ts: Timestamp,
     ) -> QueryId {
+        let world = self.cache.env.world();
         let mut st = self.cache.state.lock();
         let qid = QueryId(st.next_query);
         st.next_query += 1;
@@ -1196,7 +1153,7 @@ impl Connection {
             snapshot_ts,
             initial,
             true,
-            st.history.is_some(),
+            world.history().is_some(),
         );
         let now = self.cache.truetime.clock().now();
         if let Some(conn) = st.conns.get_mut(&self.id) {
@@ -1206,15 +1163,16 @@ impl Connection {
             conn.out.touch(now);
             conn.queries.insert(qid, qs);
         }
-        RealtimeCache::deliver(&mut st, e, now);
+        RealtimeCache::deliver(&mut st, e, now, &world);
         qid
     }
 
     /// Stop a real-time query.
     pub fn unlisten(&self, qid: QueryId) {
         let now = self.cache.truetime.clock().now();
+        let world = self.cache.env.world();
         let mut st = self.cache.state.lock();
-        RealtimeCache::end_listener(&mut st, self.id, qid, None, now);
+        RealtimeCache::end_listener(&mut st, self.id, qid, None, now, &world);
     }
 
     /// Drain queued events. A connection that leaves an event undrained
@@ -1230,6 +1188,7 @@ impl Connection {
     /// Close the connection, dropping all its queries.
     pub fn close(&self) {
         let now = self.cache.truetime.clock().now();
+        let world = self.cache.env.world();
         let mut st = self.cache.state.lock();
         let Some(conn) = st.conns.get(&self.id) else {
             return;
@@ -1237,7 +1196,7 @@ impl Connection {
         let mut qids: Vec<QueryId> = conn.queries.keys().copied().collect();
         qids.sort();
         for qid in qids {
-            RealtimeCache::end_listener(&mut st, self.id, qid, None, now);
+            RealtimeCache::end_listener(&mut st, self.id, qid, None, now, &world);
         }
         st.conns.remove(&self.id);
     }
@@ -1345,7 +1304,7 @@ mod tests {
         clock.advance(Duration::from_secs(1));
         let spanner = SpannerDatabase::new(clock);
         let db = FirestoreDatabase::create_default(spanner.clone());
-        let cache = RealtimeCache::new(spanner.truetime().clone(), RealtimeOptions::default());
+        let cache = RealtimeCache::new(&spanner, RealtimeOptions::default());
         db.set_observer(cache.observer_for(db.directory()));
         (db, cache)
     }

@@ -130,7 +130,7 @@ impl FirestoreService {
     pub fn new(clock: SimClock, options: ServiceOptions) -> FirestoreService {
         let spanner = SpannerDatabase::new(clock.clone());
         let rtc = RealtimeCache::new(
-            spanner.truetime().clone(),
+            &spanner,
             RealtimeOptions {
                 tasks: options.realtime_tasks,
                 ..RealtimeOptions::default()

@@ -20,7 +20,8 @@
 //! Both are deterministic: the same seed and the same operation sequence
 //! produce bit-identical durable images and crash decisions.
 
-use crate::fault::{FaultInjector, FaultKind};
+use crate::env::SimEnv;
+use crate::fault::FaultKind;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -78,7 +79,8 @@ struct LogState {
 #[derive(Default)]
 struct DiskState {
     logs: HashMap<String, LogState>,
-    injector: Option<Arc<FaultInjector>>,
+    /// The world whose chaos decides fsync failures and torn tails.
+    env: SimEnv,
     crashes: u64,
     torn_tails: u64,
 }
@@ -107,10 +109,13 @@ impl SimDisk {
         SimDisk::default()
     }
 
-    /// Install (or clear) the chaos injector consulted for
-    /// [`FaultKind::FsyncFail`] and [`FaultKind::TornTail`] decisions.
-    pub fn set_fault_injector(&self, injector: Option<Arc<FaultInjector>>) {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).injector = injector;
+    /// Join the simulated world `env`: its chaos injector decides
+    /// [`FaultKind::FsyncFail`] and [`FaultKind::TornTail`] faults from now
+    /// on. A new disk is alone in a world of its own with nothing
+    /// installed; attaching it to a Spanner database joins that database's
+    /// world.
+    pub fn join(&self, env: &SimEnv) {
+        self.state.lock().unwrap_or_else(|e| e.into_inner()).env = env.clone();
     }
 
     /// Append one framed record to `log`'s unsynced tail. Appends never fail
@@ -126,11 +131,7 @@ impl SimDisk {
     /// unsynced (the caller may retry or abort).
     pub fn fsync(&self, log: &str) -> Result<(), DiskError> {
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if st
-            .injector
-            .as_ref()
-            .is_some_and(|inj| inj.should_inject(FaultKind::FsyncFail, "disk-fsync"))
-        {
+        if st.env.world().inject(FaultKind::FsyncFail, "disk-fsync") {
             return Err(DiskError::FsyncFailed);
         }
         if let Some(l) = st.logs.get_mut(log) {
@@ -158,17 +159,14 @@ impl SimDisk {
     pub fn crash(&self) {
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         st.crashes += 1;
-        let injector = st.injector.clone();
+        let world = st.env.world();
         let mut torn = 0u64;
         for l in st.logs.values_mut() {
             let tail = std::mem::take(&mut l.unsynced);
             if tail.is_empty() {
                 continue;
             }
-            if injector
-                .as_ref()
-                .is_some_and(|inj| inj.should_inject(FaultKind::TornTail, "disk-crash"))
-            {
+            if world.inject(FaultKind::TornTail, "disk-crash") {
                 // Half the in-flight bytes made it out — never the whole
                 // tail, so the final record is always incomplete.
                 let keep = (tail.len() / 2).max(1).min(tail.len() - 1);
@@ -385,7 +383,16 @@ impl fmt::Debug for CrashPoints {
 mod tests {
     use super::*;
     use crate::clock::SimClock;
-    use crate::fault::{FaultPlan, FaultRule};
+    use crate::fault::{FaultInjector, FaultPlan, FaultRule};
+
+    /// A disk in a world of its own running `plan`.
+    fn chaotic_disk(clock: SimClock, plan: FaultPlan) -> SimDisk {
+        let env = SimEnv::default();
+        env.set_chaos(Some(FaultInjector::new(clock, plan)));
+        let disk = SimDisk::new();
+        disk.join(&env);
+        disk
+    }
 
     #[test]
     fn unsynced_bytes_are_lost_at_crash() {
@@ -414,8 +421,7 @@ mod tests {
     fn torn_tail_is_detected_and_truncated() {
         let clock = SimClock::new();
         let plan = FaultPlan::new(11).rule(FaultRule::probabilistic(FaultKind::TornTail, 1.0));
-        let disk = SimDisk::new();
-        disk.set_fault_injector(Some(FaultInjector::new(clock, plan)));
+        let disk = chaotic_disk(clock, plan);
         disk.append("wal", b"durable");
         disk.fsync("wal").unwrap();
         disk.append("wal", b"in-flight-record");
@@ -435,8 +441,7 @@ mod tests {
             crate::clock::Timestamp::ZERO,
             crate::clock::Timestamp::from_nanos(1),
         ));
-        let disk = SimDisk::new();
-        disk.set_fault_injector(Some(FaultInjector::new(clock.clone(), plan)));
+        let disk = chaotic_disk(clock.clone(), plan);
         disk.append("wal", b"r");
         assert_eq!(disk.fsync("wal"), Err(DiskError::FsyncFailed));
         // Outside the fault window the retry succeeds and the bytes are kept.
@@ -455,8 +460,7 @@ mod tests {
             crate::clock::Timestamp::ZERO,
             crate::clock::Timestamp::from_nanos(1),
         ));
-        let disk = SimDisk::new();
-        disk.set_fault_injector(Some(FaultInjector::new(clock.clone(), plan)));
+        let disk = chaotic_disk(clock.clone(), plan);
         disk.append("wal", b"dead");
         assert_eq!(disk.fsync("wal"), Err(DiskError::FsyncFailed));
         disk.discard_unsynced("wal");

@@ -104,12 +104,6 @@ impl FaultRule {
             probability: 1.0,
         }
     }
-
-    /// Restrict this rule's fire probability (e.g. a flaky window).
-    pub fn with_probability(mut self, p: f64) -> FaultRule {
-        self.probability = p;
-        self
-    }
 }
 
 /// A replayable chaos schedule: a seed plus a set of rules.

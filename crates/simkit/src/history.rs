@@ -275,24 +275,6 @@ impl ModelStore {
             })
             .collect()
     }
-
-    /// All `(key, value)` pairs of `table` visible at `ts`, in key order.
-    pub fn scan_at(&self, table: &str, ts: Timestamp) -> Vec<(&[u8], &[u8])> {
-        let Some(table) = self.tables.get(table) else {
-            return Vec::new();
-        };
-        table
-            .iter()
-            .filter_map(|(key, versions)| {
-                versions
-                    .iter()
-                    .rev()
-                    .find(|(vts, _)| *vts <= ts)
-                    .and_then(|(_, v)| v.as_deref())
-                    .map(|v| (key.as_slice(), v))
-            })
-            .collect()
-    }
 }
 
 fn fmt_key(key: &[u8]) -> String {

@@ -18,6 +18,9 @@
 //!   service times.
 //! * [`fault::FaultInjector`] — seeded, replayable fault injection (the
 //!   chaos layer) consulted by the storage, messaging, and cache layers.
+//! * [`env::SimEnv`] — the one handle through which every layer of a
+//!   simulated world sees its chaos injector, crash points, history
+//!   recorder and test mutation.
 //! * [`stats`] — percentile / histogram / boxplot summaries used by the
 //!   benchmark harness.
 //! * [`obs`] — deterministic structured tracing, a metrics registry, and
@@ -32,6 +35,7 @@
 pub mod clock;
 pub mod des;
 pub mod disk;
+pub mod env;
 pub mod fault;
 pub mod history;
 pub mod latency;
@@ -44,6 +48,7 @@ pub mod truetime;
 pub use clock::{Duration, SimClock, Timestamp};
 pub use des::Scheduler;
 pub use disk::{CrashPoints, DiskError, LogReplay, SimDisk};
+pub use env::{SimEnv, TestMutation, World, WorldRef};
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultRule, FaultStats};
 pub use history::{HistoryEvent, HistoryRecorder, ModelStore, Recorded, Violation};
 pub use obs::{

@@ -14,12 +14,12 @@ use crate::tablet::{SplitPolicy, TabletMap};
 use crate::txn::{Mutation, ReadWriteTransaction, TxnId};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
-use simkit::fault::{FaultInjector, FaultKind};
-use simkit::history::{hash_bytes, HistoryEvent, HistoryRecorder};
+use simkit::fault::FaultKind;
+use simkit::history::{hash_bytes, HistoryEvent};
 use simkit::prof;
 use simkit::{
-    CounterHandle, CrashPoints, Duration, HistogramHandle, Obs, SimClock, SimDisk, Timestamp,
-    TrueTime,
+    CounterHandle, Duration, HistogramHandle, Obs, SimClock, SimDisk, SimEnv, TestMutation,
+    Timestamp, TrueTime, World, WorldRef,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -92,14 +92,6 @@ pub struct CommitInfo {
     pub cpu_charged: Duration,
 }
 
-/// Failure injection hooks for testing the write pipeline's error paths
-/// (paper §IV-D2 enumerates them; §VI stresses testing them).
-#[derive(Debug, Default)]
-struct FailureInjector {
-    /// Fail the next `n` commits with the given error.
-    fail_commits: Mutex<Vec<SpannerError>>,
-}
-
 struct Inner {
     truetime: TrueTime,
     tables: RwLock<HashMap<&'static str, (u32, Arc<TableData>)>>,
@@ -107,16 +99,17 @@ struct Inner {
     next_txn: AtomicU64,
     next_directory: AtomicU32,
     options: SpannerOptions,
-    failures: FailureInjector,
-    fault_injector: Mutex<Option<Arc<FaultInjector>>>,
+    /// Errors the next commits fail with, last pushed first — the write
+    /// pipeline's error paths under test (§IV-D2 enumerates them).
+    fail_commits: Mutex<Vec<SpannerError>>,
+    /// The simulated world every layer over this database reads.
+    env: SimEnv,
     obs: Mutex<Option<Arc<Instruments>>>,
     commits: AtomicU64,
     aborts: AtomicU64,
     /// The durable medium redo records are appended to; `None` runs the
     /// database fully volatile (the pre-durability behaviour).
     disk: Mutex<Option<SimDisk>>,
-    /// The crash-point registry consulted inside the commit path.
-    crash_points: Mutex<Option<CrashPoints>>,
     /// Set by [`SpannerDatabase::crash`]; every operation fails until
     /// [`SpannerDatabase::recover`] completes.
     crashed: AtomicBool,
@@ -125,24 +118,12 @@ struct Inner {
     min_live_txn: AtomicU64,
     /// Locks discarded by the last crash (reported by `recover`).
     orphan_locks: AtomicU64,
-    /// Consistency-oracle history recorder; commits, transactional reads,
-    /// and snapshot reads are recorded while one is attached.
-    history: Mutex<Option<Arc<HistoryRecorder>>>,
-    /// Oracle mutation toggle: serve snapshot reads from this much earlier
-    /// than the requested timestamp while *recording* the requested one — a
-    /// deliberate staleness bug the oracle must catch. Nanoseconds; 0 is
-    /// off. Read on every snapshot read, so an atomic rather than a lock.
-    oracle_stale_reads_ns: AtomicU64,
     /// Commit timestamps assigned but not yet applied to the stores. A
     /// strong read waits until none at or below its timestamp remains
     /// (Spanner's safe time), so it never sees half a commit.
     unapplied: Mutex<BTreeSet<Timestamp>>,
     /// Signalled whenever a timestamp leaves [`Inner::unapplied`].
     applied: Condvar,
-    /// Test-only perf-mutation knob (nanoseconds): extra charge added to
-    /// every redo-log fsync, modeling a degraded device. The bench-gate
-    /// mutation proof seeds this and asserts the gate fails.
-    fsync_padding_ns: AtomicU64,
 }
 
 /// The attached observability handle plus the commit path's series,
@@ -213,21 +194,17 @@ impl SpannerDatabase {
                 next_txn: AtomicU64::new(1),
                 next_directory: AtomicU32::new(1),
                 options,
-                failures: FailureInjector::default(),
-                fault_injector: Mutex::new(None),
+                fail_commits: Mutex::new(Vec::new()),
+                env: SimEnv::default(),
                 obs: Mutex::new(None),
                 commits: AtomicU64::new(0),
                 aborts: AtomicU64::new(0),
                 disk: Mutex::new(None),
-                crash_points: Mutex::new(None),
                 crashed: AtomicBool::new(false),
                 min_live_txn: AtomicU64::new(0),
                 orphan_locks: AtomicU64::new(0),
-                history: Mutex::new(None),
-                oracle_stale_reads_ns: AtomicU64::new(0),
                 unapplied: Mutex::new(BTreeSet::new()),
                 applied: Condvar::new(),
-                fsync_padding_ns: AtomicU64::new(0),
             }),
         }
     }
@@ -236,40 +213,28 @@ impl SpannerDatabase {
     /// `Prepared` redo records and a coordinator `Outcome` record (the
     /// durability point) before applying mutations, and
     /// [`SpannerDatabase::recover`] can rebuild state after a
-    /// [`SpannerDatabase::crash`].
+    /// [`SpannerDatabase::crash`]. The disk joins this database's world.
     pub fn attach_durability(&self, disk: SimDisk) {
+        disk.join(&self.inner.env);
         *self.inner.disk.lock() = Some(disk);
     }
 
-    /// The attached durable medium, if any.
-    pub fn durability(&self) -> Option<SimDisk> {
-        self.inner.disk.lock().clone()
-    }
-
-    /// Test-only perf-mutation knob: pad every redo-log fsync charge by
-    /// `d`, modeling a degraded device. The bench-gate mutation proof seeds
-    /// this into a benched path and asserts the gate fails, then passes
-    /// once reset to zero.
-    pub fn set_redo_fsync_padding(&self, d: Duration) {
-        self.inner
-            .fsync_padding_ns
-            .store(d.as_nanos(), Ordering::Relaxed);
+    /// The simulated world this database, its disk and any Real-time Cache
+    /// over it share: install chaos, crash points, history or a mutation.
+    pub fn env(&self) -> &SimEnv {
+        &self.inner.env
     }
 
     /// Charge one redo-log fsync to the clock (cost-ledger model plus any
-    /// test-only padding); returns the amount charged.
-    fn charge_fsync(&self) -> Duration {
-        let c = prof::costs::REDO_FSYNC
-            + Duration::from_nanos(self.inner.fsync_padding_ns.load(Ordering::Relaxed));
+    /// [`TestMutation::FsyncPadding`]); returns the amount charged.
+    fn charge_fsync(&self, world: &World) -> Duration {
+        let padding = match world.mutation() {
+            Some(TestMutation::FsyncPadding(d)) => d,
+            _ => Duration::ZERO,
+        };
+        let c = prof::costs::REDO_FSYNC + padding;
         self.inner.truetime.clock().advance(c);
         c
-    }
-
-    /// Install (or clear) the crash-point registry consulted inside the
-    /// commit path. When a registered site is armed, reaching it crashes the
-    /// database mid-commit.
-    pub fn set_crash_points(&self, points: Option<CrashPoints>) {
-        *self.inner.crash_points.lock() = points;
     }
 
     /// Whether the process is currently crashed (every operation returns
@@ -280,15 +245,12 @@ impl SpannerDatabase {
 
     /// Record that execution reached a named crash site; returns `true` —
     /// after crashing the database — iff the site was armed.
-    fn crash_if_armed(&self, site: &'static str) -> bool {
-        let points = self.inner.crash_points.lock().clone();
-        match points {
-            Some(p) if p.reached(site) => {
-                self.crash();
-                true
-            }
-            _ => false,
+    fn crash_if_armed(&self, world: &World, site: &'static str) -> bool {
+        if !world.crash_point(site) {
+            return false;
         }
+        self.crash();
+        true
     }
 
     /// Crash the process: drop every piece of volatile state — MVCC stores,
@@ -315,9 +277,7 @@ impl SpannerDatabase {
         if let Some(disk) = self.inner.disk.lock().as_ref() {
             disk.crash();
         }
-        if let Some(h) = self.inner.history.lock().as_ref() {
-            h.record(HistoryEvent::Crash);
-        }
+        self.inner.env.world().record(HistoryEvent::Crash);
     }
 
     /// Recover from a crash by replaying the redo logs: rebuild every tablet
@@ -336,13 +296,10 @@ impl SpannerDatabase {
         let Some(disk) = self.inner.disk.lock().clone() else {
             return report;
         };
+        let world = self.inner.env.world();
         // Chaos layer: a TrueTime uncertainty spike during replay stretches
         // recovery (the commit-wait equivalent for the restart path).
-        if self.inject(FaultKind::TtUncertaintySpike, "recover-replay") {
-            let spike = self
-                .fault_injector()
-                .map(|inj| inj.tt_spike())
-                .unwrap_or_default();
+        if let Some(spike) = world.tt_spike("recover-replay") {
             self.inner.truetime.clock().advance(spike);
         }
         // 1. The coordinator log decides which transactions committed.
@@ -415,9 +372,7 @@ impl SpannerDatabase {
             s.attr("logs_scanned", report.logs_scanned);
             s.attr("discarded_prepares", report.discarded_prepares);
         }
-        if let Some(h) = self.inner.history.lock().as_ref() {
-            h.record(HistoryEvent::Recovered);
-        }
+        world.record(HistoryEvent::Recovered);
         report
     }
 
@@ -444,20 +399,6 @@ impl SpannerDatabase {
         &self.inner.truetime
     }
 
-    /// Install (or clear) the chaos-layer fault injector. Tablet
-    /// unavailability, TrueTime uncertainty spikes, and lock timeouts are
-    /// then injected per the injector's [`simkit::fault::FaultPlan`].
-    pub fn set_fault_injector(&self, injector: Option<Arc<FaultInjector>>) {
-        self.inner.locks.set_injector(injector.clone());
-        *self.inner.fault_injector.lock() = injector;
-    }
-
-    /// The installed fault injector, if any (shared with the messaging and
-    /// cache layers so all decisions come from one seeded stream).
-    pub fn fault_injector(&self) -> Option<Arc<FaultInjector>> {
-        self.inner.fault_injector.lock().clone()
-    }
-
     /// Install (or clear) the observability handle. Commit phases, redo
     /// logging, tablet splits, and recovery then emit spans and metrics.
     pub fn set_obs(&self, obs: Option<Obs>) {
@@ -473,41 +414,23 @@ impl SpannerDatabase {
         self.inner.obs.lock().clone()
     }
 
-    /// Attach (or clear) the consistency-oracle history recorder. While one
-    /// is attached every commit, transactional read, and snapshot read is
-    /// recorded; production paths pay a single null check otherwise.
-    pub fn set_history(&self, history: Option<Arc<HistoryRecorder>>) {
-        *self.inner.history.lock() = history;
-    }
-
-    /// The attached history recorder, if any.
-    pub fn history(&self) -> Option<Arc<HistoryRecorder>> {
-        self.inner.history.lock().clone()
-    }
-
-    /// Oracle mutation toggle (test-only): serve snapshot reads `delta`
-    /// earlier than the requested timestamp while recording the requested
-    /// one. A seeded staleness bug the consistency oracle must detect —
-    /// `None` restores correct behaviour.
-    pub fn oracle_serve_stale_reads(&self, delta: Option<Duration>) {
-        let ns = delta.map_or(0, |d| d.as_nanos());
-        self.inner.oracle_stale_reads_ns.store(ns, Ordering::SeqCst);
-    }
-
     /// The timestamp snapshot reads are actually served at: the requested
-    /// one unless the stale-read oracle mutation is active.
-    fn serve_ts(&self, ts: Timestamp) -> Timestamp {
-        Timestamp(ts.0.saturating_sub(self.inner.oracle_stale_reads_ns.load(Ordering::SeqCst)))
+    /// one unless [`TestMutation::StaleReads`] is active.
+    fn serve_ts(world: &World, ts: Timestamp) -> Timestamp {
+        match world.mutation() {
+            Some(TestMutation::StaleReads(d)) => Timestamp(ts.0.saturating_sub(d.as_nanos())),
+            _ => ts,
+        }
     }
 
-    /// Record snapshot-read observations, if a recorder is attached.
+    /// Record snapshot-read observations, if a recorder is installed.
     fn record_snapshot_reads<'r>(
-        &self,
+        world: &World,
         table: TableName,
         ts: Timestamp,
         reads: impl Iterator<Item = (&'r Key, Option<&'r Bytes>)>,
     ) {
-        if let Some(h) = self.inner.history.lock().as_ref() {
+        if let Some(h) = world.history() {
             for (key, value) in reads {
                 h.record(HistoryEvent::SnapshotRead {
                     ts,
@@ -520,28 +443,19 @@ impl SpannerDatabase {
     }
 
     /// Record transactional read observations into the transaction, if a
-    /// recorder is attached (drained into the `Commit` event on commit).
+    /// recorder is installed (drained into the `Commit` event on commit).
     fn observe_txn_reads<'r>(
-        &self,
+        world: &World,
         txn: &mut ReadWriteTransaction,
         tid: u32,
         reads: impl Iterator<Item = (&'r Key, Option<&'r Bytes>)>,
     ) {
-        if self.inner.history.lock().is_some() {
+        if world.history().is_some() {
             for (key, value) in reads {
                 txn.observed_reads
                     .push((tid, key.clone(), value.map(|v| hash_bytes(v))));
             }
         }
-    }
-
-    /// Consult the chaos layer at an injection site.
-    fn inject(&self, kind: FaultKind, site: &'static str) -> bool {
-        self.inner
-            .fault_injector
-            .lock()
-            .as_ref()
-            .is_some_and(|inj| inj.should_inject(kind, site))
     }
 
     /// Create `name` if it does not exist; idempotent.
@@ -614,11 +528,11 @@ impl SpannerDatabase {
         key: &Key,
         mode: LockMode,
     ) -> SpannerResult<Option<(Bytes, Timestamp)>> {
-        let (tid, data) = self.txn_table(txn, table)?;
+        let (world, tid, data) = self.txn_table(txn, table)?;
         if let Some(buffered) = txn.buffered(tid, key) {
             return Ok(buffered.map(|b| (b, Timestamp::ZERO)));
         }
-        if let Err(e) = self.inner.locks.acquire(txn.id, tid, key, mode) {
+        if let Err(e) = self.inner.locks.acquire(txn.id, tid, key, mode, &world) {
             self.abort(txn);
             return Err(e);
         }
@@ -627,7 +541,8 @@ impl SpannerDatabase {
             .read()
             .read(key, Timestamp::MAX)
             .map_err(|_| SpannerError::SnapshotTooOld)?;
-        self.observe_txn_reads(
+        Self::observe_txn_reads(
+            &world,
             txn,
             tid,
             std::iter::once((key, row.as_ref().map(|(b, _)| b))),
@@ -650,39 +565,46 @@ impl SpannerDatabase {
         limit: usize,
         reverse: bool,
     ) -> SpannerResult<Vec<(Key, Bytes, Timestamp)>> {
-        let (tid, data) = self.txn_table(txn, table)?;
+        let (world, tid, data) = self.txn_table(txn, table)?;
         let rows = data
             .store
             .read()
             .scan(range, Timestamp::MAX, limit, reverse)
             .map_err(|_| SpannerError::SnapshotTooOld)?;
         for (k, _, _) in &rows {
-            if let Err(e) = self.inner.locks.acquire(txn.id, tid, k, LockMode::Shared) {
+            if let Err(e) = self
+                .inner
+                .locks
+                .acquire(txn.id, tid, k, LockMode::Shared, &world)
+            {
                 self.abort(txn);
                 return Err(e);
             }
         }
-        self.observe_txn_reads(txn, tid, rows.iter().map(|(k, v, _)| (k, Some(v))));
+        Self::observe_txn_reads(&world, txn, tid, rows.iter().map(|(k, v, _)| (k, Some(v))));
         Ok(rows)
     }
 
     /// The prologue of every transactional read and scan: reject a closed
-    /// or fenced transaction, consult the chaos layer once at the
-    /// `txn-read` site — before any lock is taken — and resolve the table.
+    /// or fenced transaction, read the environment, consult the chaos layer
+    /// once at the `txn-read` site — before any lock is taken — and resolve
+    /// the table.
     fn txn_table(
         &self,
         txn: &mut ReadWriteTransaction,
         table: TableName,
-    ) -> SpannerResult<(u32, Arc<TableData>)> {
+    ) -> SpannerResult<(WorldRef, u32, Arc<TableData>)> {
         if txn.closed {
             return Err(SpannerError::TxnClosed(txn.id));
         }
         self.fence(txn)?;
-        if self.inject(FaultKind::TabletUnavailable, "txn-read") {
+        let world = self.inner.env.world();
+        if world.inject(FaultKind::TabletUnavailable, "txn-read") {
             self.abort(txn);
             return Err(SpannerError::Unavailable("txn-read: tablet unreachable"));
         }
-        self.table(table)
+        let (tid, data) = self.table(table)?;
+        Ok((world, tid, data))
     }
 
     /// Buffer an insert/update.
@@ -755,6 +677,9 @@ impl SpannerDatabase {
             return Err(SpannerError::TxnClosed(txn.id));
         }
         self.fence(&txn)?;
+        // The one read of the environment: every injection, crash and
+        // recording site below consults this view.
+        let world = self.inner.env.world();
         let instruments = self.instruments();
         let obs = instruments.as_ref().map(|i| &i.obs);
         let span = obs.map(|o| {
@@ -764,12 +689,12 @@ impl SpannerDatabase {
             s
         });
         // Injected failures (tests / failure-injection experiments).
-        if let Some(err) = self.inner.failures.fail_commits.lock().pop() {
+        if let Some(err) = self.inner.fail_commits.lock().pop() {
             self.abort(&mut txn);
             return Err(err);
         }
         // Chaos layer: a participant tablet is transiently unreachable.
-        if self.inject(FaultKind::TabletUnavailable, "commit") {
+        if world.inject(FaultKind::TabletUnavailable, "commit") {
             self.abort(&mut txn);
             return Err(SpannerError::Unavailable("commit: tablet unreachable"));
         }
@@ -786,10 +711,10 @@ impl SpannerDatabase {
         });
         let lock_start = self.inner.truetime.clock().now();
         for m in &txn.mutations {
-            if let Err(e) = self
-                .inner
-                .locks
-                .acquire(txn.id, m.table, &m.key, LockMode::Exclusive)
+            if let Err(e) =
+                self.inner
+                    .locks
+                    .acquire(txn.id, m.table, &m.key, LockMode::Exclusive, &world)
             {
                 self.abort(&mut txn);
                 return Err(e);
@@ -873,8 +798,8 @@ impl SpannerDatabase {
             // fsync when a disk is attached, so a commit that crashes inside
             // the ambiguous window still enters the model, or after the
             // volatile apply otherwise.
-            let history = self.inner.history.lock().clone();
-            let mut pending_commit_event = history.as_ref().map(|_| {
+            let history = world.history();
+            let mut pending_commit_event = history.map(|_| {
                 let name_of: HashMap<u32, String> = self
                     .inner
                     .tables
@@ -915,7 +840,7 @@ impl SpannerDatabase {
             // durability point). Only then are mutations applied.
             let disk = self.inner.disk.lock().clone();
             if let Some(disk) = &disk {
-                if self.crash_if_armed("commit-before-log") {
+                if self.crash_if_armed(&world, "commit-before-log") {
                     return Err(SpannerError::UnknownOutcome);
                 }
                 // Group each table's mutations by participant tablet.
@@ -955,11 +880,11 @@ impl SpannerDatabase {
                     // A crash between the append and its fsync dies mid
                     // log write: the record is in flight, not durable, and
                     // may reach the disk torn.
-                    if self.crash_if_armed("commit-prepare-unsynced") {
+                    if self.crash_if_armed(&world, "commit-prepare-unsynced") {
                         return Err(SpannerError::UnknownOutcome);
                     }
                     let fsync_span = obs.map(|o| o.tracer.span("spanner.redo.fsync"));
-                    let c = self.charge_fsync();
+                    let c = self.charge_fsync(&world);
                     cpu_charged += c;
                     if disk.fsync(&log).is_err() {
                         drop(fsync_span);
@@ -989,11 +914,11 @@ impl SpannerDatabase {
                     // A crash after the first of several prepares leaves a
                     // prepared-but-undecided participant for recovery to
                     // resolve.
-                    if multi && i == 0 && self.crash_if_armed("commit-partial-prepare") {
+                    if multi && i == 0 && self.crash_if_armed(&world, "commit-partial-prepare") {
                         return Err(SpannerError::UnknownOutcome);
                     }
                 }
-                if self.crash_if_armed("commit-after-prepare") {
+                if self.crash_if_armed(&world, "commit-after-prepare") {
                     return Err(SpannerError::UnknownOutcome);
                 }
                 // The coordinator outcome record: the transaction is
@@ -1015,11 +940,11 @@ impl SpannerDatabase {
                 }
                 // A crash here dies mid write of the outcome record: not
                 // durable, possibly torn — recovery resolves to abort.
-                if self.crash_if_armed("commit-outcome-unsynced") {
+                if self.crash_if_armed(&world, "commit-outcome-unsynced") {
                     return Err(SpannerError::UnknownOutcome);
                 }
                 let fsync_span = obs.map(|o| o.tracer.span("spanner.redo.fsync"));
-                let c = self.charge_fsync();
+                let c = self.charge_fsync(&world);
                 cpu_charged += c;
                 if disk.fsync(OUTCOMES_LOG).is_err() {
                     drop(fsync_span);
@@ -1046,12 +971,12 @@ impl SpannerDatabase {
                 }
                 // Durability point reached: the transaction is committed
                 // whatever happens next, so the oracle's model must know it.
-                if let (Some(h), Some(ev)) = (&history, pending_commit_event.take()) {
+                if let (Some(h), Some(ev)) = (history, pending_commit_event.take()) {
                     h.record(ev);
                 }
                 // The ambiguous window: the commit is durable but the client
                 // never hears the ack.
-                if self.crash_if_armed("commit-after-outcome") {
+                if self.crash_if_armed(&world, "commit-after-outcome") {
                     return Err(SpannerError::UnknownOutcome);
                 }
             }
@@ -1075,14 +1000,14 @@ impl SpannerDatabase {
             }
             drop(unapplied);
             // No durable medium: the volatile apply is the commit point.
-            if let (Some(h), Some(ev)) = (&history, pending_commit_event.take()) {
+            if let (Some(h), Some(ev)) = (history, pending_commit_event.take()) {
                 h.record(ev);
             }
         }
         participants = participants.max(1);
         // Crash after apply but before the ack: durable and applied, yet the
         // client still observes an unknown outcome.
-        if self.crash_if_armed("commit-after-apply") {
+        if self.crash_if_armed(&world, "commit-after-apply") {
             return Err(SpannerError::UnknownOutcome);
         }
 
@@ -1090,11 +1015,7 @@ impl SpannerDatabase {
         // A TrueTime uncertainty spike widens ε, stretching the wait.
         let wait_span = obs.map(|o| o.tracer.span("spanner.commit_wait"));
         let wait_start = self.inner.truetime.clock().now();
-        if self.inject(FaultKind::TtUncertaintySpike, "commit-wait") {
-            let spike = self
-                .fault_injector()
-                .map(|inj| inj.tt_spike())
-                .unwrap_or_default();
+        if let Some(spike) = world.tt_spike("commit-wait") {
             self.inner.truetime.clock().advance(spike);
         }
         self.inner.truetime.commit_wait(commit_ts);
@@ -1176,13 +1097,14 @@ impl SpannerDatabase {
         keys: &[Key],
         ts: Timestamp,
     ) -> SpannerResult<Vec<Option<(Bytes, Timestamp)>>> {
-        if self.inject(FaultKind::TabletUnavailable, "snapshot-read") {
+        let world = self.inner.env.world();
+        if world.inject(FaultKind::TabletUnavailable, "snapshot-read") {
             return Err(SpannerError::Unavailable(
                 "snapshot-read: tablet unreachable",
             ));
         }
         let (_, data) = self.table(table)?;
-        let at = self.serve_ts(ts);
+        let at = Self::serve_ts(&world, ts);
         let rows = {
             let store = data.store.read();
             keys.iter()
@@ -1191,7 +1113,7 @@ impl SpannerDatabase {
                 .map_err(|_| SpannerError::SnapshotTooOld)?
         };
         let values = rows.iter().map(|row| row.as_ref().map(|(b, _)| b));
-        self.record_snapshot_reads(table, ts, keys.iter().zip(values));
+        Self::record_snapshot_reads(&world, table, ts, keys.iter().zip(values));
         Ok(rows)
     }
 
@@ -1220,7 +1142,8 @@ impl SpannerDatabase {
         limit: usize,
         reverse: bool,
     ) -> SpannerResult<Vec<(Key, Bytes, Timestamp)>> {
-        if self.inject(FaultKind::TabletUnavailable, "snapshot-scan") {
+        let world = self.inner.env.world();
+        if world.inject(FaultKind::TabletUnavailable, "snapshot-scan") {
             return Err(SpannerError::Unavailable(
                 "snapshot-scan: tablet unreachable",
             ));
@@ -1229,9 +1152,9 @@ impl SpannerDatabase {
         let rows = data
             .store
             .read()
-            .scan(range, self.serve_ts(ts), limit, reverse)
+            .scan(range, Self::serve_ts(&world, ts), limit, reverse)
             .map_err(|_| SpannerError::SnapshotTooOld)?;
-        self.record_snapshot_reads(table, ts, rows.iter().map(|(k, v, _)| (k, Some(v))));
+        Self::record_snapshot_reads(&world, table, ts, rows.iter().map(|(k, v, _)| (k, Some(v))));
         Ok(rows)
     }
 
@@ -1332,7 +1255,7 @@ impl SpannerDatabase {
     /// Inject a failure for the next commit (testing hook; also used by the
     /// failure-injection integration tests).
     pub fn inject_commit_failure(&self, err: SpannerError) {
-        self.inner.failures.fail_commits.lock().push(err);
+        self.inner.fail_commits.lock().push(err);
     }
 }
 
@@ -1350,7 +1273,8 @@ impl std::fmt::Debug for SpannerDatabase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simkit::Duration;
+    use simkit::fault::FaultInjector;
+    use simkit::{CrashPoints, Duration};
 
     const T: TableName = "Entities";
 
@@ -1727,7 +1651,7 @@ mod tests {
         let disk = SimDisk::new();
         db.attach_durability(disk.clone());
         let cp = CrashPoints::new();
-        db.set_crash_points(Some(cp.clone()));
+        db.env().set_crash_points(Some(cp.clone()));
         cp.arm("commit-after-outcome", 0);
         let mut t = db.begin();
         db.txn_put(&mut t, T, Key::from("k"), bytes("v")).unwrap();
@@ -1750,7 +1674,7 @@ mod tests {
         let disk = SimDisk::new();
         db.attach_durability(disk.clone());
         let cp = CrashPoints::new();
-        db.set_crash_points(Some(cp.clone()));
+        db.env().set_crash_points(Some(cp.clone()));
         cp.arm("commit-after-prepare", 0);
         let mut t = db.begin();
         db.txn_put(&mut t, T, Key::from("k"), bytes("v")).unwrap();
@@ -1774,7 +1698,7 @@ mod tests {
         db.attach_durability(disk.clone());
         db.pre_split(T, vec![Key::from("m")]).unwrap();
         let cp = CrashPoints::new();
-        db.set_crash_points(Some(cp.clone()));
+        db.env().set_crash_points(Some(cp.clone()));
         cp.arm("commit-partial-prepare", 0);
         let mut t = db.begin();
         db.txn_put(&mut t, T, Key::from("a"), bytes("1")).unwrap();
@@ -1815,11 +1739,11 @@ mod tests {
         let db = db();
         let disk = SimDisk::new();
         let plan = FaultPlan::new(3).rule(FaultRule::probabilistic(FaultKind::FsyncFail, 1.0));
-        disk.set_fault_injector(Some(FaultInjector::new(
+        db.attach_durability(disk.clone());
+        db.env().set_chaos(Some(FaultInjector::new(
             db.truetime().clock().clone(),
             plan,
         )));
-        db.attach_durability(disk.clone());
         let mut t = db.begin();
         db.txn_put(&mut t, T, Key::from("k"), bytes("v")).unwrap();
         assert_eq!(
@@ -1832,7 +1756,7 @@ mod tests {
             read(&db, T, &Key::from("k"), db.strong_read_ts()).unwrap(),
             None
         );
-        disk.set_fault_injector(None);
+        db.env().set_chaos(None);
         let mut t = db.begin();
         db.txn_put(&mut t, T, Key::from("k"), bytes("v")).unwrap();
         db.commit(t, Timestamp::ZERO, Timestamp::MAX).unwrap();
@@ -1857,11 +1781,11 @@ mod tests {
             })
             .unwrap();
         let plan = FaultPlan::new(seed).rule(FaultRule::probabilistic(FaultKind::FsyncFail, p));
-        disk.set_fault_injector(Some(FaultInjector::new(
+        db.attach_durability(disk.clone());
+        db.env().set_chaos(Some(FaultInjector::new(
             db.truetime().clock().clone(),
             plan,
         )));
-        db.attach_durability(disk.clone());
 
         let mut t = db.begin();
         db.txn_put(&mut t, T, Key::from("poison"), bytes("v1")).unwrap();
@@ -1872,7 +1796,7 @@ mod tests {
 
         // A later commit fsyncs the shared outcomes log successfully. It
         // must not flush the aborted transaction's stale outcome record.
-        disk.set_fault_injector(None);
+        db.env().set_chaos(None);
         let mut t = db.begin();
         db.txn_put(&mut t, T, Key::from("other"), bytes("v2")).unwrap();
         db.commit(t, Timestamp::ZERO, Timestamp::MAX).unwrap();
@@ -1900,7 +1824,7 @@ mod tests {
         let plan = FaultPlan::new(5)
             .rule(FaultRule::probabilistic(FaultKind::TabletUnavailable, 1.0))
             .rule(FaultRule::probabilistic(FaultKind::LockTimeout, 1.0));
-        db.set_fault_injector(Some(FaultInjector::new(clock, plan)));
+        db.env().set_chaos(Some(FaultInjector::new(clock, plan)));
 
         let mut txn = db.begin();
         assert_eq!(
@@ -1916,7 +1840,7 @@ mod tests {
         assert!(read(&db, T, &Key::from("k"), db.strong_read_ts()).is_err());
 
         // Clearing the injector restores normal behaviour.
-        db.set_fault_injector(None);
+        db.env().set_chaos(None);
         let mut txn = db.begin();
         db.txn_put(&mut txn, T, Key::from("k"), bytes("v")).unwrap();
         db.commit(txn, Timestamp::ZERO, Timestamp::MAX).unwrap();

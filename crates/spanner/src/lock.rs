@@ -16,9 +16,9 @@ use crate::error::{SpannerError, SpannerResult};
 use crate::key::Key;
 use crate::txn::TxnId;
 use parking_lot::Mutex;
-use simkit::fault::{FaultInjector, FaultKind};
+use simkit::fault::FaultKind;
+use simkit::World;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Lock mode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,7 +42,6 @@ pub type LockName = (u32, Key);
 #[derive(Debug, Default)]
 pub struct LockManager {
     locks: Mutex<HashMap<LockName, LockState>>,
-    injector: Mutex<Option<Arc<FaultInjector>>>,
 }
 
 impl LockManager {
@@ -51,21 +50,21 @@ impl LockManager {
         LockManager::default()
     }
 
-    /// Install a fault injector; [`FaultKind::LockTimeout`] faults then make
-    /// `acquire` fail with [`SpannerError::LockTimeout`].
-    pub fn set_injector(&self, injector: Option<Arc<FaultInjector>>) {
-        *self.injector.lock() = injector;
-    }
-
     /// Try to acquire a lock for `txn`. Shared locks are compatible with
     /// other shared locks; a transaction already holding a shared lock can
     /// upgrade to exclusive if it is the only holder. Re-acquisition is
-    /// idempotent.
-    pub fn acquire(&self, txn: TxnId, table: u32, key: &Key, mode: LockMode) -> SpannerResult<()> {
-        if let Some(inj) = self.injector.lock().as_ref() {
-            if inj.should_inject(FaultKind::LockTimeout, "lock-acquire") {
-                return Err(SpannerError::LockTimeout);
-            }
+    /// idempotent. A [`FaultKind::LockTimeout`] fault in the caller's
+    /// `world` fails the attempt with [`SpannerError::LockTimeout`].
+    pub fn acquire(
+        &self,
+        txn: TxnId,
+        table: u32,
+        key: &Key,
+        mode: LockMode,
+        world: &World,
+    ) -> SpannerResult<()> {
+        if world.inject(FaultKind::LockTimeout, "lock-acquire") {
+            return Err(SpannerError::LockTimeout);
         }
         let mut locks = self.locks.lock();
         let name = (table, key.clone());
@@ -162,30 +161,42 @@ impl LockManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkit::{SimEnv, WorldRef};
+
+    /// A world with nothing installed.
+    fn calm() -> WorldRef {
+        SimEnv::default().world()
+    }
 
     const T: u32 = 0;
 
     #[test]
     fn exclusive_excludes_everyone() {
         let lm = LockManager::new();
+        let w = calm();
         let k = Key::from("k");
-        lm.acquire(TxnId(1), T, &k, LockMode::Exclusive).unwrap();
-        assert!(lm.acquire(TxnId(2), T, &k, LockMode::Exclusive).is_err());
-        assert!(lm.acquire(TxnId(2), T, &k, LockMode::Shared).is_err());
+        lm.acquire(TxnId(1), T, &k, LockMode::Exclusive, &w)
+            .unwrap();
+        assert!(lm
+            .acquire(TxnId(2), T, &k, LockMode::Exclusive, &w)
+            .is_err());
+        assert!(lm.acquire(TxnId(2), T, &k, LockMode::Shared, &w).is_err());
         // Re-acquisition by the holder is fine.
-        lm.acquire(TxnId(1), T, &k, LockMode::Exclusive).unwrap();
-        lm.acquire(TxnId(1), T, &k, LockMode::Shared).unwrap();
+        lm.acquire(TxnId(1), T, &k, LockMode::Exclusive, &w)
+            .unwrap();
+        lm.acquire(TxnId(1), T, &k, LockMode::Shared, &w).unwrap();
     }
 
     #[test]
     fn shared_locks_coexist() {
         let lm = LockManager::new();
+        let w = calm();
         let k = Key::from("k");
-        lm.acquire(TxnId(1), T, &k, LockMode::Shared).unwrap();
-        lm.acquire(TxnId(2), T, &k, LockMode::Shared).unwrap();
+        lm.acquire(TxnId(1), T, &k, LockMode::Shared, &w).unwrap();
+        lm.acquire(TxnId(2), T, &k, LockMode::Shared, &w).unwrap();
         // But a writer is blocked.
         let err = lm
-            .acquire(TxnId(3), T, &k, LockMode::Exclusive)
+            .acquire(TxnId(3), T, &k, LockMode::Exclusive, &w)
             .unwrap_err();
         assert!(matches!(err, SpannerError::LockConflict { .. }));
     }
@@ -193,47 +204,59 @@ mod tests {
     #[test]
     fn upgrade_allowed_only_for_sole_reader() {
         let lm = LockManager::new();
+        let w = calm();
         let k = Key::from("k");
-        lm.acquire(TxnId(1), T, &k, LockMode::Shared).unwrap();
-        lm.acquire(TxnId(1), T, &k, LockMode::Exclusive).unwrap(); // sole holder upgrades
+        lm.acquire(TxnId(1), T, &k, LockMode::Shared, &w).unwrap();
+        lm.acquire(TxnId(1), T, &k, LockMode::Exclusive, &w)
+            .unwrap(); // sole holder upgrades
         lm.release_all(TxnId(1));
 
-        lm.acquire(TxnId(1), T, &k, LockMode::Shared).unwrap();
-        lm.acquire(TxnId(2), T, &k, LockMode::Shared).unwrap();
-        assert!(lm.acquire(TxnId(1), T, &k, LockMode::Exclusive).is_err());
+        lm.acquire(TxnId(1), T, &k, LockMode::Shared, &w).unwrap();
+        lm.acquire(TxnId(2), T, &k, LockMode::Shared, &w).unwrap();
+        assert!(lm
+            .acquire(TxnId(1), T, &k, LockMode::Exclusive, &w)
+            .is_err());
     }
 
     #[test]
     fn release_unblocks() {
         let lm = LockManager::new();
+        let w = calm();
         let k = Key::from("k");
-        lm.acquire(TxnId(1), T, &k, LockMode::Exclusive).unwrap();
+        lm.acquire(TxnId(1), T, &k, LockMode::Exclusive, &w)
+            .unwrap();
         lm.release_all(TxnId(1));
-        lm.acquire(TxnId(2), T, &k, LockMode::Exclusive).unwrap();
+        lm.acquire(TxnId(2), T, &k, LockMode::Exclusive, &w)
+            .unwrap();
         assert_eq!(lm.locked_cells(), 1);
     }
 
     #[test]
     fn different_keys_and_tables_do_not_conflict() {
         let lm = LockManager::new();
-        lm.acquire(TxnId(1), 0, &Key::from("k"), LockMode::Exclusive)
+        let w = calm();
+        lm.acquire(TxnId(1), 0, &Key::from("k"), LockMode::Exclusive, &w)
             .unwrap();
-        lm.acquire(TxnId(2), 0, &Key::from("other"), LockMode::Exclusive)
+        lm.acquire(TxnId(2), 0, &Key::from("other"), LockMode::Exclusive, &w)
             .unwrap();
-        lm.acquire(TxnId(3), 1, &Key::from("k"), LockMode::Exclusive)
+        lm.acquire(TxnId(3), 1, &Key::from("k"), LockMode::Exclusive, &w)
             .unwrap();
     }
 
     #[test]
     fn shared_release_keeps_other_holders() {
         let lm = LockManager::new();
+        let w = calm();
         let k = Key::from("k");
-        lm.acquire(TxnId(1), T, &k, LockMode::Shared).unwrap();
-        lm.acquire(TxnId(2), T, &k, LockMode::Shared).unwrap();
+        lm.acquire(TxnId(1), T, &k, LockMode::Shared, &w).unwrap();
+        lm.acquire(TxnId(2), T, &k, LockMode::Shared, &w).unwrap();
         lm.release_all(TxnId(1));
         // Txn 2 still holds it; a writer is still blocked.
-        assert!(lm.acquire(TxnId(3), T, &k, LockMode::Exclusive).is_err());
+        assert!(lm
+            .acquire(TxnId(3), T, &k, LockMode::Exclusive, &w)
+            .is_err());
         lm.release_all(TxnId(2));
-        lm.acquire(TxnId(3), T, &k, LockMode::Exclusive).unwrap();
+        lm.acquire(TxnId(3), T, &k, LockMode::Exclusive, &w)
+            .unwrap();
     }
 }

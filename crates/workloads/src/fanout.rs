@@ -165,13 +165,10 @@ pub fn run_fanout(cfg: &FanoutConfig) -> FanoutReport {
     // stalled consumer is detected within the run.
     opts.fanout.flush_interval = Duration::from_millis(50);
     opts.fanout.stall_deadline = Duration::from_millis(500);
-    let cache = RealtimeCache::new(spanner.truetime().clone(), opts);
+    let cache = RealtimeCache::new(&spanner, opts);
     db.set_observer(cache.observer_for(db.directory()));
     let recorder = cfg.oracle.then(HistoryRecorder::new);
-    if let Some(rec) = &recorder {
-        spanner.set_history(Some(rec.clone()));
-        cache.set_history(Some(rec.clone()));
-    }
+    spanner.env().set_history(recorder.clone());
 
     let mut rng = SimRng::new(cfg.seed);
     let query = Query::parse("/scores").unwrap();

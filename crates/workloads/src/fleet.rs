@@ -23,7 +23,7 @@ use firestore_core::database::doc;
 use firestore_core::{Caller, FirestoreDatabase, Query, RequestClass, Value, Write};
 use realtime::{Connection, ListenEvent, ListenSnapshot, QueryId};
 use server::{FirestoreService, ServiceOptions, TenantLimits};
-use simkit::fault::{FaultInjector, FaultKind, FaultPlan, FaultRule};
+use simkit::fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultRule};
 use simkit::history::HistoryRecorder;
 use simkit::stats::Histogram;
 use simkit::{Duration, SimClock, SimDisk, SimRng, Timestamp};
@@ -91,7 +91,8 @@ pub struct FleetConfig {
     /// The free-tier adversary's offered QPS (all writes, against an
     /// almost-exhausted daily quota).
     pub free_qps: f64,
-    /// Probabilistic fault injection on Spanner and the Real-time Cache.
+    /// Probabilistic fault injection in the whole world: Spanner, its disk
+    /// and the Real-time Cache.
     pub chaos: bool,
     /// Crash–recover cycles performed mid-run.
     pub max_crashes: usize,
@@ -158,8 +159,7 @@ impl FleetWorld {
         );
         svc.spanner().attach_durability(SimDisk::new());
         let recorder = HistoryRecorder::new();
-        svc.spanner().set_history(Some(recorder.clone()));
-        svc.realtime().set_history(Some(recorder.clone()));
+        svc.spanner().env().set_history(Some(recorder.clone()));
 
         let quiet_names: Vec<String> = (0..cfg.quiet_databases)
             .map(|i| format!("quiet-{i}"))
@@ -232,6 +232,8 @@ pub struct FleetReport {
     pub queries: HashMap<u64, Query>,
     /// Quiesced end-of-run timestamp for the oracle's convergence check.
     pub final_ts: Timestamp,
+    /// The chaos injector's trace, in firing order (empty without chaos).
+    pub faults: Vec<FaultEvent>,
 }
 
 /// Which stream an arrival belongs to.
@@ -398,11 +400,10 @@ pub fn run_fleet(world: &FleetWorld, cfg: &FleetConfig) -> FleetReport {
 
     // Chaos starts only once the fleet is seeded and listening; the run
     // itself (not the setup) is what gets the faults.
-    if cfg.chaos {
-        let injector = chaos_injector(svc.clock(), cfg.seed ^ 0xF1EE);
-        svc.spanner().set_fault_injector(Some(injector.clone()));
-        svc.realtime().set_fault_injector(Some(injector));
-    }
+    let injector = cfg
+        .chaos
+        .then(|| chaos_injector(svc.clock(), cfg.seed ^ 0xF1EE));
+    svc.spanner().env().set_chaos(injector.clone());
 
     let mut report = FleetReport {
         conforming_latency: Histogram::log_millis(),
@@ -419,6 +420,7 @@ pub fn run_fleet(world: &FleetWorld, cfg: &FleetConfig) -> FleetReport {
         pending_after_quiesce: 0,
         queries: HashMap::new(),
         final_ts: Timestamp::ZERO,
+        faults: Vec::new(),
     };
 
     let mut driver = LoadDriver::new(svc);
@@ -637,8 +639,7 @@ pub fn run_fleet(world: &FleetWorld, cfg: &FleetConfig) -> FleetReport {
     // Quiesce: stop the chaos, drain the Backend, and flush every client
     // dry — the hammer client's stalled writes retry to success here as
     // the overload clears.
-    svc.spanner().set_fault_injector(None);
-    svc.realtime().set_fault_injector(None);
+    svc.spanner().env().set_chaos(None);
     for _ in 0..64 {
         let now = svc.clock().now();
         driver.advance(now, now + Duration::from_secs(1), cfg.quantum);
@@ -668,6 +669,7 @@ pub fn run_fleet(world: &FleetWorld, cfg: &FleetConfig) -> FleetReport {
     report.final_ts = tracked_dbs[0].strong_read_ts();
     report.queries = queries;
     report.throttle_counts = svc.tenants.throttle_counts();
+    report.faults = injector.map(|i| i.trace()).unwrap_or_default();
     report
 }
 

@@ -56,8 +56,7 @@ pub struct HistoryWorld {
 impl HistoryWorld {
     /// Build the stack: Spanner + durability, Firestore database with open
     /// rules, Real-time Cache wired as the commit observer, and one
-    /// recorder attached to Spanner and the cache (the client and API
-    /// layers reach it through [`FirestoreDatabase::history`]).
+    /// recorder installed in the world every layer shares.
     pub fn build() -> HistoryWorld {
         let clock = SimClock::new();
         clock.advance(Duration::from_secs(1));
@@ -65,11 +64,10 @@ impl HistoryWorld {
         spanner.attach_durability(SimDisk::new());
         let db = FirestoreDatabase::create_default(spanner.clone());
         db.set_rules(OPEN_RULES).unwrap();
-        let cache = RealtimeCache::new(spanner.truetime().clone(), RealtimeOptions::default());
+        let cache = RealtimeCache::new(&spanner, RealtimeOptions::default());
         db.set_observer(cache.observer_for(db.directory()));
         let recorder = HistoryRecorder::new();
-        spanner.set_history(Some(recorder.clone()));
-        cache.set_history(Some(recorder.clone()));
+        spanner.env().set_history(Some(recorder.clone()));
         HistoryWorld {
             clock,
             spanner,
@@ -204,16 +202,8 @@ fn crash_recover(
 /// (`world.recorder`).
 pub fn run_history_workload(world: &HistoryWorld, cfg: &HistoryConfig) -> HistoryOutcome {
     let mut rng = SimRng::new(cfg.seed);
-    let disk = world
-        .spanner
-        .durability()
-        .expect("the history world is durable");
     let injector = cfg.chaos.then(|| chaos_injector(world, cfg.seed ^ 0x51D));
-    if let Some(injector) = &injector {
-        world.spanner.set_fault_injector(Some(injector.clone()));
-        world.cache.set_fault_injector(Some(injector.clone()));
-        disk.set_fault_injector(Some(injector.clone()));
-    }
+    world.spanner.env().set_chaos(injector.clone());
 
     let mut queries: HashMap<u64, Query> = HashMap::new();
     let mut listeners = vec![
@@ -404,9 +394,7 @@ pub fn run_history_workload(world: &HistoryWorld, cfg: &HistoryConfig) -> Histor
 
     // Quiesce: end the chaos windows, flush the client dry, and pump
     // everything until listeners are current.
-    world.spanner.set_fault_injector(None);
-    world.cache.set_fault_injector(None);
-    disk.set_fault_injector(None);
+    world.spanner.env().set_chaos(None);
     for _ in 0..32 {
         world.clock.advance(Duration::from_secs(2));
         let _ = client.sync();

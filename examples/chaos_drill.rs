@@ -18,7 +18,7 @@ fn main() {
     clock.advance(Duration::from_secs(1));
     let spanner = SpannerDatabase::new(clock.clone());
     let db = firestore_core::FirestoreDatabase::create_default(spanner.clone());
-    let cache = RealtimeCache::new(spanner.truetime().clone(), RealtimeOptions::default());
+    let cache = RealtimeCache::new(&spanner, RealtimeOptions::default());
     db.set_observer(cache.observer_for(db.directory()));
 
     // A listener watches /scores from the start.
@@ -33,7 +33,10 @@ fn main() {
     listener.poll().expect("initial snapshot");
 
     // The chaos plan: tablets flap 20% of the time, locks time out 5%, and
-    // the Real-time Cache goes completely dark for seconds 2..4.
+    // the Real-time Cache goes completely dark for seconds 2..4 — its
+    // Prepares fail, and so do the writes that need them (§IV-D4). One call
+    // installs the plan in the whole world; the listener's stream link is
+    // the client side and takes it separately.
     let outage_start = clock.now() + Duration::from_secs(1);
     let outage_end = outage_start + Duration::from_secs(2);
     let plan = FaultPlan::new(42)
@@ -45,7 +48,7 @@ fn main() {
             outage_end,
         ));
     let injector = FaultInjector::new(clock.clone(), plan);
-    db.spanner().set_fault_injector(Some(injector.clone()));
+    db.spanner().env().set_chaos(Some(injector.clone()));
     listener.set_fault_injector(Some(injector.clone()));
 
     // Keep writing under fire, retrying transient failures with jittered
@@ -85,7 +88,7 @@ fn main() {
             }
         }
     }
-    db.spanner().set_fault_injector(None);
+    db.spanner().env().set_chaos(None);
     clock.advance(Duration::from_secs(5));
     cache.tick();
     for event in listener.poll().expect("final poll") {

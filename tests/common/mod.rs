@@ -78,7 +78,7 @@ pub fn world() -> World {
     clock.advance(Duration::from_secs(1));
     let spanner = SpannerDatabase::new(clock.clone());
     let db = FirestoreDatabase::create_default(spanner.clone());
-    let cache = RealtimeCache::new(spanner.truetime().clone(), RealtimeOptions::default());
+    let cache = RealtimeCache::new(&spanner, RealtimeOptions::default());
     db.set_observer(cache.observer_for(db.directory()));
     World {
         clock,

@@ -23,7 +23,7 @@ mod common;
 use firestore_core::checker::{check_history, doc_digest, OracleReport};
 use firestore_core::database::doc;
 use firestore_core::{Caller, Consistency, Query, Value, Write};
-use simkit::{CrashPoints, Duration};
+use simkit::{CrashPoints, Duration, TestMutation};
 use workloads::{run_history_workload, HistoryConfig, HistoryWorld};
 
 fn check(world: &HistoryWorld, out: &workloads::HistoryOutcome) -> OracleReport {
@@ -104,7 +104,8 @@ fn oracle_rejects_stale_snapshot_reads() {
     let world = HistoryWorld::build();
     world
         .spanner
-        .oracle_serve_stale_reads(Some(Duration::from_millis(40)));
+        .env()
+        .set_mutation(Some(TestMutation::StaleReads(Duration::from_millis(40))));
     let mut cfg = HistoryConfig::new(0x57A1E);
     cfg.chaos = false; // isolate the mutation
     cfg.max_crashes = 0;
@@ -132,7 +133,10 @@ fn oracle_rejects_stale_snapshot_reads() {
 #[test]
 fn oracle_rejects_dropped_changelog_entries() {
     let world = HistoryWorld::build();
-    world.cache.oracle_drop_next_changes(6);
+    world
+        .spanner
+        .env()
+        .set_mutation(Some(TestMutation::DropChanges(6)));
     let mut cfg = HistoryConfig::new(0xD20BED);
     cfg.chaos = false;
     cfg.max_crashes = 0;
@@ -158,7 +162,10 @@ fn oracle_rejects_dropped_changelog_entries() {
 #[test]
 fn oracle_rejects_reordered_listener_delivery() {
     let world = HistoryWorld::build();
-    world.cache.oracle_reorder_delivery(true);
+    world
+        .spanner
+        .env()
+        .set_mutation(Some(TestMutation::ReorderDelivery));
     let mut cfg = HistoryConfig::new(0x2E02DE2);
     cfg.chaos = false;
     cfg.max_crashes = 0;
@@ -188,16 +195,19 @@ fn oracle_rejects_double_applied_client_mutation() {
     // stays queued.
     let points = CrashPoints::new();
     points.arm("commit-after-outcome", 0);
-    world.spanner.set_crash_points(Some(points));
+    world.spanner.env().set_crash_points(Some(points));
     let _ = client.set("/c/a1", [("v", Value::Int(2))]);
     assert!(world.spanner.crashed(), "armed crash must fire");
     assert_eq!(client.pending_writes(), 1, "ambiguous write stays queued");
-    world.spanner.set_crash_points(None);
+    world.spanner.env().set_crash_points(None);
     let _report = world.spanner.recover();
 
     // Recovery restored the committed-but-unacked mutation. Now break the
     // dedup ledger and retry: the commit applies a second time.
-    world.db.oracle_ignore_dedup_ledger(true);
+    world
+        .spanner
+        .env()
+        .set_mutation(Some(TestMutation::IgnoreDedupLedger));
     world.clock.advance(Duration::from_secs(5));
     client.sync().expect("retry flush succeeds");
     assert_eq!(client.pending_writes(), 0);

@@ -343,7 +343,7 @@ fn run(seed: u64, arm: Option<(&str, u64)>) -> (CrashPoints, bool) {
     let (db, cache, spanner) = build();
     spanner.attach_durability(SimDisk::new());
     let cp = CrashPoints::new();
-    spanner.set_crash_points(Some(cp.clone()));
+    spanner.env().set_crash_points(Some(cp.clone()));
     if let Some((site, nth)) = arm {
         cp.arm(site, nth);
     }
@@ -504,10 +504,12 @@ fn torn_tail_recovers_to_consistent_state() {
     // a TornTail fault active: its prepares are durable, and a prefix of
     // the half-written outcome record reaches the durable image.
     let torn = FaultPlan::new(seed).rule(FaultRule::probabilistic(FaultKind::TornTail, 1.0));
-    disk.set_fault_injector(Some(FaultInjector::new(clock, torn)));
+    spanner
+        .env()
+        .set_chaos(Some(FaultInjector::new(clock, torn)));
     let points = CrashPoints::new();
     points.arm("commit-outcome-unsynced", 0);
-    spanner.set_crash_points(Some(points));
+    spanner.env().set_crash_points(Some(points));
     let err = db
         .commit_writes(
             vec![Write::set(doc("/c/a1"), [("v", Value::Int(2))])],

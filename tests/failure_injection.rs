@@ -412,7 +412,7 @@ fn seeded_ycsb_chaos_run_is_lossless_and_reproducible() {
             .rule(FaultRule::probabilistic(FaultKind::TabletUnavailable, 0.15))
             .rule(FaultRule::probabilistic(FaultKind::LockTimeout, 0.05));
         let injector = FaultInjector::new(clock.clone(), plan);
-        db.spanner().set_fault_injector(Some(injector.clone()));
+        db.spanner().env().set_chaos(Some(injector.clone()));
 
         // Each acknowledged update stamps its op index; `expected` tracks the
         // last acknowledged stamp per record.
@@ -454,7 +454,7 @@ fn seeded_ycsb_chaos_run_is_lossless_and_reproducible() {
                 }
             }
         }
-        db.spanner().set_fault_injector(None);
+        db.spanner().env().set_chaos(None);
 
         // Zero lost, zero duplicated: every record carries exactly the stamp
         // of its last acknowledged update — an abandoned attempt never
@@ -515,7 +515,8 @@ fn trigger_redelivery_under_duplication_is_idempotent() {
         start + Duration::from_secs(10),
     ));
     db.spanner()
-        .set_fault_injector(Some(FaultInjector::new(clock.clone(), plan)));
+        .env()
+        .set_chaos(Some(FaultInjector::new(clock.clone(), plan)));
 
     let mut applied: HashMap<String, Value> = HashMap::new();
     let mut deliveries = 0usize;
@@ -633,7 +634,7 @@ fn stalled_consumer_is_shed_with_overload_reset_not_a_pipeline_stall() {
     let db = FirestoreDatabase::create_default(spanner.clone());
     let mut opts = RealtimeOptions::default();
     opts.fanout.stall_deadline = Duration::from_millis(300);
-    let cache = RealtimeCache::new(spanner.truetime().clone(), opts);
+    let cache = RealtimeCache::new(&spanner, opts);
     db.set_observer(cache.observer_for(db.directory()));
 
     let put = |path: &str, v: i64| {
@@ -734,7 +735,7 @@ fn recovery_correct_under_truetime_spike_during_replay() {
     let spanner = db.spanner().clone();
     spanner.attach_durability(SimDisk::new());
     let cp = CrashPoints::new();
-    spanner.set_crash_points(Some(cp.clone()));
+    spanner.env().set_crash_points(Some(cp.clone()));
 
     db.commit_writes(
         vec![Write::set(doc("/c/a"), [("v", Value::Int(1))])],
@@ -764,9 +765,11 @@ fn recovery_correct_under_truetime_spike_during_replay() {
     let plan = FaultPlan::new(7)
         .rule(FaultRule::probabilistic(FaultKind::TtUncertaintySpike, 1.0))
         .with_tt_spike(spike);
-    spanner.set_fault_injector(Some(FaultInjector::new(clock.clone(), plan)));
+    spanner
+        .env()
+        .set_chaos(Some(FaultInjector::new(clock.clone(), plan)));
     let report = spanner.recover();
-    spanner.set_fault_injector(None);
+    spanner.env().set_chaos(None);
     assert!(report.replayed_txns >= 1);
     assert!(
         clock.now() >= before + spike,
@@ -831,7 +834,9 @@ fn message_drops_during_replay_do_not_lose_trigger_messages() {
         start,
         start + Duration::from_secs(10),
     ));
-    spanner.set_fault_injector(Some(FaultInjector::new(clock.clone(), plan)));
+    spanner
+        .env()
+        .set_chaos(Some(FaultInjector::new(clock.clone(), plan)));
     spanner.crash();
     let report = spanner.recover();
     assert!(report.replayed_txns >= 1, "the enqueue commit must replay");
@@ -877,7 +882,8 @@ fn tablet_unavailability_reaches_every_read_path() {
     let plan = FaultPlan::new(1).rule(FaultRule::probabilistic(FaultKind::TabletUnavailable, 1.0));
     let clock = db.spanner().truetime().clock().clone();
     db.spanner()
-        .set_fault_injector(Some(FaultInjector::new(clock, plan)));
+        .env()
+        .set_chaos(Some(FaultInjector::new(clock, plan)));
 
     let forward = Query::parse("/c").unwrap().order_by("v", Direction::Asc);
     let descending = Query::parse("/c").unwrap().order_by("v", Direction::Desc);
@@ -973,16 +979,16 @@ fn failed_rules_lookup_refuses_instead_of_granting() {
     // Under the same seed, the service's query (no rules lookup) proves
     // that the scan and the fetch pass.
     let service = FaultInjector::new(clock.clone(), plan.clone());
-    db.spanner().set_fault_injector(Some(service.clone()));
+    db.spanner().env().set_chaos(Some(service.clone()));
     let served = db.run_query(&posts, Consistency::Strong, &Caller::Service);
     assert_eq!(served.unwrap().documents.len(), 1);
     assert_eq!(service.stats().injected, 0, "scan and fetch must pass");
     let scan_and_fetch = service.stats().checked;
 
     let injector = FaultInjector::new(clock, plan);
-    db.spanner().set_fault_injector(Some(injector.clone()));
+    db.spanner().env().set_chaos(Some(injector.clone()));
     let refused = db.run_query(&posts, Consistency::Strong, &mallory);
-    db.spanner().set_fault_injector(None);
+    db.spanner().env().set_chaos(None);
     match refused {
         Err(e @ FirestoreError::Unavailable(_)) => assert!(e.is_retriable()),
         other => panic!("a failed ban-list lookup must refuse the read, got {other:?}"),

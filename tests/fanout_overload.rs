@@ -158,7 +158,7 @@ fn overload_reset_of_one_multiplexed_listener_leaves_the_sibling_alone() {
     let db = FirestoreDatabase::create_default(spanner.clone());
     let mut opts = RealtimeOptions::default();
     opts.fanout.stall_deadline = Duration::from_millis(300);
-    let cache = RealtimeCache::new(spanner.truetime().clone(), opts);
+    let cache = RealtimeCache::new(&spanner, opts);
     db.set_observer(cache.observer_for(db.directory()));
 
     let put = |path: &str, v: i64| {
@@ -257,7 +257,7 @@ fn idle_listener_is_not_shed_by_its_first_event() {
     clock.advance(Duration::from_secs(1));
     let spanner = SpannerDatabase::new(clock.clone());
     let db = FirestoreDatabase::create_default(spanner.clone());
-    let cache = RealtimeCache::new(spanner.truetime().clone(), RealtimeOptions::default());
+    let cache = RealtimeCache::new(&spanner, RealtimeOptions::default());
     db.set_observer(cache.observer_for(db.directory()));
     let deadline = RealtimeOptions::default().fanout.stall_deadline;
 

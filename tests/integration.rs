@@ -326,7 +326,7 @@ fn refused_count_reads_no_index_entry() {
         .unwrap();
     }
     let history = HistoryRecorder::new();
-    db.spanner().set_history(Some(history.clone()));
+    db.spanner().env().set_history(Some(history.clone()));
     // No rules are installed, so a third party may not list `/c`.
     let user = Caller::EndUser(Some(AuthContext::uid("u")));
     let q = Query::parse("/c").unwrap();

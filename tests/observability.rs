@@ -54,7 +54,8 @@ fn seeded_chaos_run(seed: u64) -> (String, String, String) {
         .rule(FaultRule::probabilistic(FaultKind::LockTimeout, 0.08))
         .rule(FaultRule::probabilistic(FaultKind::TabletUnavailable, 0.08));
     svc.spanner()
-        .set_fault_injector(Some(FaultInjector::new(clock.clone(), plan)));
+        .env()
+        .set_chaos(Some(FaultInjector::new(clock.clone(), plan)));
 
     for i in 0..60i64 {
         let key = rng.gen_range(20);
@@ -93,7 +94,7 @@ fn seeded_chaos_run(seed: u64) -> (String, String, String) {
         }
         svc.realtime().tick();
     }
-    svc.spanner().set_fault_injector(None);
+    svc.spanner().env().set_chaos(None);
 
     let trace = svc.obs().tracer.render();
     let metrics = svc.obs().metrics.snapshot().to_text();
@@ -190,7 +191,8 @@ fn profiler_phase_self_time_reconciles_with_breakdowns() {
     let plan = simkit::fault::FaultPlan::new(0x9EC0)
         .rule(FaultRule::probabilistic(FaultKind::TabletUnavailable, 0.10));
     svc.spanner()
-        .set_fault_injector(Some(FaultInjector::new(clock.clone(), plan)));
+        .env()
+        .set_chaos(Some(FaultInjector::new(clock.clone(), plan)));
 
     let mut lock_wait_total = Duration::ZERO;
     let mut commit_wait_total = Duration::ZERO;
@@ -219,7 +221,7 @@ fn profiler_phase_self_time_reconciles_with_breakdowns() {
             }
         }
     }
-    svc.spanner().set_fault_injector(None);
+    svc.spanner().env().set_chaos(None);
 
     let profile = simkit::FoldedProfile::fold(&svc.obs().tracer.finished_since(0));
     let phases = profile.phase_self_times();
@@ -331,10 +333,11 @@ fn mixed_workload_lights_up_every_metric_family() {
         now + Duration::from_millis(20),
     ));
     svc.spanner()
-        .set_fault_injector(Some(FaultInjector::new(clock.clone(), plan)));
+        .env()
+        .set_chaos(Some(FaultInjector::new(clock.clone(), plan)));
     client.set("/c/flushed", [("v", Value::Int(1))]).expect("set");
     client.flush().expect("flush");
-    svc.spanner().set_fault_injector(None);
+    svc.spanner().env().set_chaos(None);
     client.flush().expect("flush after chaos");
     assert_eq!(client.pending_writes(), 0, "flush must eventually land");
 
@@ -692,10 +695,11 @@ fn golden_run() -> (String, String) {
         now + Duration::from_millis(20),
     ));
     svc.spanner()
-        .set_fault_injector(Some(FaultInjector::new(clock.clone(), plan)));
+        .env()
+        .set_chaos(Some(FaultInjector::new(clock.clone(), plan)));
     client.set("/c/client", [("v", Value::Int(9))]).expect("set");
     client.flush().expect("flush");
-    svc.spanner().set_fault_injector(None);
+    svc.spanner().env().set_chaos(None);
     client.flush().expect("flush after chaos");
     svc.tick();
 

@@ -1,8 +1,8 @@
 //! Mutation-proofs the perf-regression gate: a seeded slowdown in a benched
 //! hot path must fail `bench_gate`'s comparison, and reverting it must pass.
 //!
-//! The slowdown knob is `SpannerDatabase::set_redo_fsync_padding` — a
-//! test-only cost bump charged to the SimClock inside every redo-log fsync,
+//! The slowdown knob is `TestMutation::FsyncPadding` in the Spanner
+//! database's `SimEnv` — a test-only cost bump charged to the SimClock inside every redo-log fsync,
 //! exactly where a real durability regression would land. Because the
 //! benched latencies are simulated time, the padded run's numbers shift
 //! deterministically; the gate's tight tolerance on sim metrics must catch
@@ -14,7 +14,7 @@ use bench::report::BenchReport;
 use firestore_core::database::doc;
 use firestore_core::{Caller, Value, Write};
 use server::{FirestoreService, ServiceOptions};
-use simkit::{Duration, SimClock, SimDisk, SimRng};
+use simkit::{Duration, SimClock, SimDisk, SimRng, TestMutation};
 
 /// Run a miniature commit-latency bench with the given fsync padding and
 /// render its report JSON. Mirrors the real bench bins: sim-time latency
@@ -25,7 +25,9 @@ fn run_commit_bench(fsync_padding: Duration) -> String {
     clock.advance(Duration::from_secs(1));
     let svc = FirestoreService::new(clock.clone(), ServiceOptions::default());
     svc.spanner().attach_durability(SimDisk::new());
-    svc.spanner().set_redo_fsync_padding(fsync_padding);
+    svc.spanner()
+        .env()
+        .set_mutation(Some(TestMutation::FsyncPadding(fsync_padding)));
     let _db = svc.create_database("gate");
     let mut rng = SimRng::new(0x6A7E);
 

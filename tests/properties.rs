@@ -354,7 +354,7 @@ proptest! {
         let spanner = SpannerDatabase::new(clock);
         let db = FirestoreDatabase::create_default(spanner.clone());
         let cache = realtime::RealtimeCache::new(
-            spanner.truetime().clone(),
+            &spanner,
             realtime::RealtimeOptions::default(),
         );
         db.set_observer(cache.observer_for(db.directory()));
@@ -407,10 +407,8 @@ proptest! {
                   }
                 }
             "#).unwrap();
-            let cache = realtime::RealtimeCache::new(
-                spanner.truetime().clone(),
-                realtime::RealtimeOptions::default(),
-            );
+            let cache =
+                realtime::RealtimeCache::new(&spanner, realtime::RealtimeOptions::default());
             db.set_observer(cache.observer_for(db.directory()));
             let c = client::FirestoreClient::connect(
                 db.clone(),
