@@ -2,13 +2,13 @@
 //! committed baselines and exit nonzero on any regression.
 //!
 //! ```text
-//! bench_gate --baseline bench/baselines/smoke --fresh .
-//! bench_gate --baseline bench/baselines/smoke --fresh . --update
+//! bench_gate --baseline bench/baselines/smoke --fresh target
+//! bench_gate --baseline bench/baselines/smoke --fresh target --update
 //! ```
 //!
 //! The baseline directory holds one `BENCH_<name>.json` per gated bench;
-//! for each, the same filename is looked up under `--fresh` (typically the
-//! workspace root, where the bench bins write their reports). A baseline
+//! for each, the same filename is looked up under `--fresh` (typically
+//! `target/`, where the bench bins write their reports). A baseline
 //! without a fresh counterpart fails the gate — losing a report silently
 //! would otherwise read as "no regressions". Fresh reports without a
 //! baseline are listed but don't fail, so new benches can land before

@@ -17,10 +17,10 @@
 //! Phase 2 (overload): a fixed fleet with seeded slow consumers (clients
 //! that stop draining mid-run). Conforming listeners' sim-time delivery
 //! p99 must stay within 2× the quiet baseline while the slow consumers
-//! are voluntarily reset (`overload`) and caught back up by the degrade
-//! machinery; the consistency oracle checks the whole chaos run.
+//! are voluntarily reset (`overload`) and caught back up by the SDK's
+//! back-off and re-seed; the consistency oracle checks the whole chaos run.
 //!
-//! Output: `BENCH_fanout.json` at the workspace root (CI uploads it as an
+//! Output: `target/BENCH_fanout.json` (CI uploads it as an
 //! artifact; see EXPERIMENTS.md E15 for regeneration instructions).
 //!
 //! Set `FANOUT_SCALING_SMOKE=1` (or pass `--smoke`) for a seconds-long run

@@ -10,8 +10,8 @@
 //! slower than the query population — the linear baseline is the shape
 //! the tree replaced.
 //!
-//! Output: `BENCH_matcher_scaling.json` at the workspace root (CI uploads
-//! it as an artifact; see EXPERIMENTS.md for regeneration instructions).
+//! Output: `target/BENCH_matcher_scaling.json` (CI uploads it as an
+//! artifact; see EXPERIMENTS.md for regeneration instructions).
 //!
 //! Set `MATCHER_SCALING_SMOKE=1` (or pass `--smoke`) for a seconds-long
 //! run with smaller populations, used by CI's smoke job.

@@ -9,8 +9,8 @@
 //! the expected shape; anything growing with the index size is a pushdown
 //! regression.
 //!
-//! Output: `BENCH_query_scaling.json` at the workspace root (CI uploads it
-//! as an artifact; see EXPERIMENTS.md for regeneration instructions).
+//! Output: `target/BENCH_query_scaling.json` (CI uploads it as an
+//! artifact; see EXPERIMENTS.md for regeneration instructions).
 //!
 //! Set `QUERY_SCALING_SMOKE=1` (or pass `--smoke`) for a seconds-long run
 //! with smaller sizes, used by CI's smoke job.

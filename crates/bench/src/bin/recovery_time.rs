@@ -8,8 +8,8 @@
 //! shape is *linear* in replayed mutations — a superlinear trajectory means
 //! replay is re-sorting or re-scanning something it shouldn't.
 //!
-//! Output: `BENCH_recovery.json` at the workspace root (see EXPERIMENTS.md
-//! E10 for regeneration instructions).
+//! Output: `target/BENCH_recovery.json` (see EXPERIMENTS.md E10 for
+//! regeneration instructions).
 //!
 //! Set `RECOVERY_SMOKE=1` (or pass `--smoke`) for a seconds-long run with
 //! smaller sizes, used by CI's smoke job.

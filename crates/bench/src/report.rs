@@ -8,7 +8,7 @@
 use simkit::MetricsSnapshot;
 use std::path::PathBuf;
 
-/// Builder for one `BENCH_<name>.json` file at the workspace root.
+/// Builder for one `target/BENCH_<name>.json` report.
 pub struct BenchReport {
     name: String,
     /// Top-level `key: raw-json-value` pairs, in insertion order.
@@ -68,9 +68,11 @@ impl BenchReport {
         json
     }
 
-    /// Write `BENCH_<name>.json` at the workspace root and print its path.
+    /// Write `target/BENCH_<name>.json` (next to the `target/PROFILE_*`
+    /// files, out of the source tree) and print its path.
     pub fn write(&self) -> PathBuf {
-        let path = PathBuf::from(format!("BENCH_{}.json", self.name));
+        std::fs::create_dir_all("target").expect("create target dir");
+        let path = PathBuf::from(format!("target/BENCH_{}.json", self.name));
         std::fs::write(&path, self.render()).expect("write BENCH json");
         println!("(wrote {})", path.display());
         path

@@ -12,6 +12,13 @@
 //!   queue up; on [`FirestoreClient::reconnect`] pending mutations replay
 //!   ("last update wins" blind writes, §III-E) and every listener is
 //!   re-seeded from a fresh server snapshot, emitting reconciliation deltas.
+//!
+//! A listener whose real-time stream is gone — reset by the cache, shed
+//! under overload, lost with the link, or not yet re-subscribed after a
+//! reconnect — is *pending*: each [`FirestoreClient::sync`] re-runs its
+//! query (that read is the poll that keeps it current) and re-subscribes,
+//! until a re-subscription succeeds (§IV-D4: the Real-time Cache is
+//! strictly an enhancement).
 
 use crate::listener::{local_results, ClientSnapshot, ListenerId, ListenerState};
 use crate::store::{LocalStore, ServerEntry};
@@ -24,9 +31,10 @@ use realtime::{
     Connection, ListenEvent, ListenSnapshot, RealtimeCache, ResetCause, OVERLOAD_RESUBSCRIBE_DELAY,
 };
 use rules::AuthContext;
+use simkit::fault::FaultKind;
 use simkit::Timestamp;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 
 /// Client configuration.
@@ -97,10 +105,14 @@ struct ClientState {
     conn: Option<Connection>,
     /// Errors from asynchronously rejected queued writes.
     write_errors: Vec<ClientError>,
-    /// Listeners shed by the cache under overload, with the number of
-    /// [`FirestoreClient::sync`] calls still to skip before re-seeding
-    /// ([`OVERLOAD_RESUBSCRIBE_DELAY`] when the reset arrives).
-    deferred_reseeds: Vec<(ListenerId, u32)>,
+    /// Listeners that need a re-seed, in `ListenerId` order, each with the
+    /// first sync (a value of `syncs`) on which it may run: at once after a
+    /// fault reset, a lost link, a reconnect or a failed re-seed;
+    /// [`OVERLOAD_RESUBSCRIBE_DELAY`] syncs later after an overload reset.
+    /// A listener leaves only when it has subscribed again.
+    pending: BTreeMap<ListenerId, u64>,
+    /// [`FirestoreClient::sync`] calls so far.
+    syncs: u64,
     /// Overload (voluntary) resets observed, for tests and workloads.
     overload_resets: u64,
 }
@@ -133,7 +145,8 @@ impl FirestoreClient {
                 next_listener: 1,
                 conn: Some(conn),
                 write_errors: Vec::new(),
-                deferred_reseeds: Vec::new(),
+                pending: BTreeMap::new(),
+                syncs: 0,
                 overload_resets: 0,
             }),
             retry_policy: RetryPolicy::default(),
@@ -201,7 +214,8 @@ impl FirestoreClient {
     /// Reconnect: flush queued writes, then re-seed every listener from a
     /// fresh server snapshot (automatic reconciliation, §I: "fully
     /// disconnected operation, with automatic reconciliation on
-    /// reconnection").
+    /// reconnection"). A listener whose re-seed fails stays pending and is
+    /// re-seeded by a later [`FirestoreClient::sync`].
     pub fn reconnect(&self) -> Result<(), ClientError> {
         {
             let mut st = self.state.lock();
@@ -210,13 +224,12 @@ impl FirestoreClient {
             }
             st.connected = true;
             st.conn = Some(self.rtc.connect());
+            let st = &mut *st;
+            st.pending
+                .extend(st.listeners.keys().map(|&id| (id, st.syncs)));
         }
         self.flush()?;
-        let ids: Vec<ListenerId> = self.state.lock().listeners.keys().copied().collect();
-        for id in ids {
-            self.reseed_listener(id)?;
-        }
-        Ok(())
+        self.reseed_pending()
     }
 
     // --- reads ------------------------------------------------------------------
@@ -538,12 +551,14 @@ impl FirestoreClient {
     }
 
     /// The one listener path, shared by [`FirestoreClient::listen`] and
-    /// every re-seed (reconnect, fault reset, overload back-off): read the
-    /// listen snapshot, fold it into the local store, then seed a new
-    /// listener from the store or reconcile an existing one's view with it,
-    /// and subscribe on the connection.
+    /// every re-seed: read the listen snapshot, fold it into the local
+    /// store, then seed a new listener from the store or reconcile an
+    /// existing one's view with it, and subscribe on the connection. A
+    /// listener the link does not let subscribe is pending; one that
+    /// subscribed is not.
     fn seed_listener(&self, id: ListenerId, query: Query) -> Result<(), ClientError> {
         let snapshot = ListenSnapshot::read(&self.db, query.clone(), &self.caller())?;
+        let link_up = !self.link_lost("listen");
         let mut st = self.state.lock();
         let st = &mut *st;
         // Detect server-side deletions for documents we previously cached
@@ -566,30 +581,67 @@ impl FirestoreClient {
         let l = match st.listeners.entry(id) {
             Entry::Occupied(e) => {
                 let l = e.into_mut();
+                l.read_time = snapshot.at();
                 l.reconcile(&st.store);
                 l
             }
             Entry::Vacant(e) => {
                 let mut l = ListenerState::new(id, query, &st.store);
+                l.read_time = snapshot.at();
                 l.emit_initial(false);
                 e.insert(l)
             }
         };
-        l.server_query = st.conn.as_ref().map(|conn| snapshot.listen(conn));
+        l.server_query = match &st.conn {
+            Some(conn) if link_up => Some(snapshot.listen(conn)),
+            _ => None,
+        };
+        if l.server_query.is_some() {
+            st.pending.remove(&id);
+        } else {
+            st.pending.insert(id, st.syncs);
+        }
         Ok(())
     }
 
-    fn reseed_listener(&self, id: ListenerId) -> Result<(), ClientError> {
-        let query = match self.state.lock().listeners.get(&id) {
-            Some(l) => l.query.clone(),
-            None => return Ok(()),
+    /// Whether the link to the Real-time Cache fails at `site` now
+    /// ([`FaultKind::ListenStreamLost`]).
+    fn link_lost(&self, site: &'static str) -> bool {
+        self.db
+            .spanner()
+            .env()
+            .world()
+            .inject(FaultKind::ListenStreamLost, site)
+    }
+
+    /// Re-seed every pending listener whose back-off has expired, in
+    /// `ListenerId` order. One whose read fails stays pending for the next
+    /// sync: a transient failure is not an error. The first other error is
+    /// returned after every due listener has been tried.
+    fn reseed_pending(&self) -> Result<(), ClientError> {
+        let due: Vec<(ListenerId, Query)> = {
+            let st = self.state.lock();
+            st.pending
+                .iter()
+                .filter(|&(_, &due)| due <= st.syncs)
+                .filter_map(|(id, _)| st.listeners.get(id).map(|l| (*id, l.query.clone())))
+                .collect()
         };
-        self.seed_listener(id, query)
+        let mut result = Ok(());
+        for (id, query) in due {
+            if let Err(e) = self.seed_listener(id, query) {
+                if !e.is_retriable() && result.is_ok() {
+                    result = Err(e);
+                }
+            }
+        }
+        result
     }
 
     /// Stop a listener.
     pub fn unlisten(&self, id: ListenerId) {
         let mut st = self.state.lock();
+        st.pending.remove(&id);
         if let Some(l) = st.listeners.remove(&id) {
             if let (Some(qid), Some(conn)) = (l.server_query, st.conn.as_ref()) {
                 conn.unlisten(qid);
@@ -597,39 +649,43 @@ impl FirestoreClient {
         }
     }
 
-    /// Process service events (real-time snapshots, resets) and flush
-    /// pending writes. Call this from the application's event loop.
+    /// Process service events (real-time snapshots, resets), re-seed the
+    /// pending listeners that are due, and flush pending writes. Call this
+    /// from the application's event loop.
+    ///
+    /// While the link to the Real-time Cache is lost
+    /// ([`FaultKind::ListenStreamLost`]), every subscribed listener drops
+    /// its stream, and what the stream carried, and turns pending: its
+    /// re-seed reads the query each sync, so the application still sees
+    /// every change exactly once, until a re-subscription succeeds.
     pub fn sync(&self) -> Result<(), ClientError> {
-        let events = {
-            let st = self.state.lock();
-            if !st.connected {
-                return Ok(());
-            }
-            match &st.conn {
-                Some(conn) => conn.poll(),
-                None => Vec::new(),
-            }
-        };
-        let mut resets: Vec<ListenerId> = Vec::new();
         {
             let mut st = self.state.lock();
-            // Tick overload backoffs: expired entries re-seed this sync.
-            let mut i = 0;
-            while i < st.deferred_reseeds.len() {
-                if st.deferred_reseeds[i].1 == 0 {
-                    resets.push(st.deferred_reseeds.remove(i).0);
-                } else {
-                    st.deferred_reseeds[i].1 -= 1;
-                    i += 1;
+            let st = &mut *st;
+            let Some(conn) = st.conn.as_ref().filter(|_| st.connected) else {
+                return Ok(());
+            };
+            st.syncs += 1;
+            let now = st.syncs;
+            let mut events = conn.poll();
+            if st.listeners.values().any(|l| l.server_query.is_some())
+                && self.link_lost("listen-stream")
+            {
+                events.clear();
+                for (id, l) in st.listeners.iter_mut() {
+                    if let Some(qid) = l.server_query.take() {
+                        conn.unlisten(qid);
+                        st.pending.insert(*id, now);
+                    }
                 }
             }
             for event in events {
                 match event {
                     ListenEvent::Snapshot {
                         query,
+                        at,
                         changes,
                         is_initial,
-                        ..
                     } => {
                         if is_initial {
                             continue; // seeded synchronously at listen time
@@ -649,32 +705,40 @@ impl FirestoreClient {
                             }
                             touched.push(c.doc.name.clone());
                         }
-                        let _ = query;
-                        Self::notify_listeners(&mut st, &touched, false);
+                        if let Some(l) = st
+                            .listeners
+                            .values_mut()
+                            .find(|l| l.server_query == Some(query))
+                        {
+                            l.read_time = at;
+                        }
+                        Self::notify_listeners(st, &touched, false);
                     }
                     ListenEvent::Reset { query, cause } => {
-                        let id = st
+                        let Some((id, l)) = st
                             .listeners
-                            .iter()
+                            .iter_mut()
                             .find(|(_, l)| l.server_query == Some(query))
-                            .map(|(id, _)| *id);
-                        if let Some(id) = id {
-                            match cause {
-                                ResetCause::Fault => resets.push(id),
-                                ResetCause::Overload => {
-                                    st.overload_resets += 1;
-                                    st.deferred_reseeds.push((id, OVERLOAD_RESUBSCRIBE_DELAY));
-                                }
+                        else {
+                            continue;
+                        };
+                        // The cache has already ended the query.
+                        l.server_query = None;
+                        let due = match cause {
+                            ResetCause::Fault => now,
+                            ResetCause::Overload => {
+                                st.overload_resets += 1;
+                                now + u64::from(OVERLOAD_RESUBSCRIBE_DELAY) + 1
                             }
-                        }
+                        };
+                        st.pending.insert(*id, due);
                     }
                 }
             }
         }
-        for id in resets {
-            self.reseed_listener(id)?;
-        }
-        self.flush()
+        let reseeded = self.reseed_pending();
+        self.flush()?;
+        reseeded
     }
 
     /// Drain queued snapshots of one listener (call [`FirestoreClient::sync`]
@@ -1133,6 +1197,206 @@ mod tests {
         }
         assert_eq!(rtc.stats().active_queries, 1, "re-subscribed exactly once");
         assert!(delivered(&alice, l).is_empty());
+    }
+
+    /// Installs a one-rule chaos plan in the world of `db`.
+    fn chaos(db: &FirestoreDatabase, rule: simkit::fault::FaultRule) {
+        use simkit::fault::{FaultInjector, FaultPlan};
+        let clock = db.spanner().truetime().clock().clone();
+        let plan = FaultPlan::new(21).rule(rule);
+        db.spanner()
+            .env()
+            .set_chaos(Some(FaultInjector::new(clock, plan)));
+    }
+
+    fn put(db: &FirestoreDatabase, path: &str, v: i64) {
+        db.commit_writes(
+            vec![Write::set(docname(path), [("v", Value::Int(v))])],
+            &Caller::Service,
+        )
+        .unwrap();
+    }
+
+    #[test]
+    fn lost_stream_polls_each_change_once_then_resubscribes() {
+        use realtime::ChangeKind::{Added, Modified};
+        use simkit::fault::{FaultKind, FaultRule};
+        let (db, rtc) = setup();
+        let clock = db.spanner().truetime().clock().clone();
+        let alice = client(&db, &rtc);
+        put(&db, "/scores/a", 1);
+        let l = alice.listen(Query::parse("/scores").unwrap()).unwrap();
+        alice.take_snapshots(l);
+
+        // The link is down for the next 2 simulated seconds. What the
+        // stream carried is lost with it; the poll delivers it once.
+        let start = clock.now();
+        let end = start + Duration::from_secs(2);
+        chaos(
+            &db,
+            FaultRule::scheduled(FaultKind::ListenStreamLost, start, end),
+        );
+        put(&db, "/scores/b", 2);
+        put(&db, "/scores/a", 3);
+        rtc.tick();
+        alice.sync().unwrap();
+        assert_eq!(
+            rtc.stats().active_queries,
+            0,
+            "the lost link forces polling"
+        );
+        let mut got = delivered(&alice, l);
+        got.sort_by(|a, b| a.1.cmp(&b.1));
+        assert_eq!(got, [(Modified, "a".into()), (Added, "b".into())]);
+
+        // Still down: the next poll delivers the next write, once.
+        put(&db, "/scores/c", 4);
+        rtc.tick();
+        alice.sync().unwrap();
+        assert_eq!(delivered(&alice, l), [(Added, "c".into())]);
+        assert_eq!(rtc.stats().active_queries, 0);
+
+        // The link is back: the sync re-subscribes, and neither it nor the
+        // cache's initial snapshot re-announces anything.
+        clock.advance(Duration::from_secs(3));
+        alice.sync().unwrap();
+        assert_eq!(rtc.stats().active_queries, 1, "re-subscribed");
+        put(&db, "/scores/d", 5);
+        rtc.tick();
+        alice.sync().unwrap();
+        assert_eq!(delivered(&alice, l), [(Added, "d".into())]);
+        assert_eq!(rtc.stats().active_queries, 1, "re-subscribed once");
+    }
+
+    #[test]
+    fn lost_stream_polls_only_the_limit_window() {
+        use simkit::fault::{FaultKind, FaultRule};
+        let (db, rtc) = setup();
+        let clock = db.spanner().truetime().clock().clone();
+        let alice = client(&db, &rtc);
+        for i in 0..5 {
+            put(&db, &format!("/scores/p{i}"), i);
+        }
+        let l = alice
+            .listen(Query::parse("/scores").unwrap().limit(2))
+            .unwrap();
+        assert_eq!(
+            alice.take_snapshots(l)[0].changes.len(),
+            2,
+            "window limits the snapshot"
+        );
+
+        let start = clock.now();
+        let end = start + Duration::from_secs(60);
+        chaos(
+            &db,
+            FaultRule::scheduled(FaultKind::ListenStreamLost, start, end),
+        );
+        // A write beyond the window must not surface in a poll.
+        put(&db, "/scores/z", 99);
+        alice.sync().unwrap();
+        assert_eq!(rtc.stats().active_queries, 0, "polling");
+        assert!(
+            alice.take_snapshots(l).is_empty(),
+            "a write outside the limit window is invisible"
+        );
+    }
+
+    #[test]
+    fn failed_reseed_stays_pending_and_blocks_neither_listeners_nor_flush() {
+        use simkit::fault::{FaultKind, FaultRule};
+        let (db, rtc) = setup();
+        let clock = db.spanner().truetime().clock().clone();
+        let mut cache = LocalStore::new();
+        cache.enqueue(Write::set(
+            docname("/todos/1"),
+            [("t", Value::from("queued"))],
+        ));
+        let alice = FirestoreClient::connect_with_cache(
+            db.clone(),
+            rtc.clone(),
+            ClientOptions {
+                auth: Some(AuthContext::uid("alice")),
+            },
+            cache,
+        );
+        let q = Query::parse("/todos").unwrap();
+        let ls = [alice.listen(q.clone()).unwrap(), alice.listen(q).unwrap()];
+        assert_eq!(alice.pending_writes(), 1, "queued until the first sync");
+
+        // An unknown-outcome commit fault-resets both listeners.
+        db.spanner()
+            .inject_commit_failure(spanner::SpannerError::UnknownOutcome);
+        let x = Write::set(docname("/todos/x"), [("t", Value::from("x"))]);
+        assert!(db.commit_writes(vec![x], &Caller::Service).is_err());
+        rtc.tick();
+
+        // Every tablet is down for the next millisecond: both re-seeds
+        // fail, and so does the first flush attempt, whose back-off
+        // outlasts the outage.
+        let start = clock.now();
+        let end = start + Duration::from_millis(1);
+        chaos(
+            &db,
+            FaultRule::scheduled(FaultKind::TabletUnavailable, start, end),
+        );
+        alice.sync().unwrap();
+        assert_eq!(rtc.stats().resets_fault, 2);
+        assert_eq!(
+            alice.pending_writes(),
+            0,
+            "the failed re-seeds skip no flush"
+        );
+        assert_eq!(rtc.stats().active_queries, 0, "both re-seeds failed");
+
+        db.spanner().env().set_chaos(None);
+        for _ in 0..3 {
+            rtc.tick();
+            alice.sync().unwrap();
+        }
+        assert_eq!(rtc.stats().active_queries, 2, "both re-seeded");
+        for l in ls {
+            alice.take_snapshots(l);
+        }
+        put(&db, "/todos/3", 3);
+        rtc.tick();
+        alice.sync().unwrap();
+        for l in ls {
+            assert_eq!(
+                delivered(&alice, l),
+                [(realtime::ChangeKind::Added, "3".into())]
+            );
+        }
+    }
+
+    #[test]
+    fn reconnect_whose_reseed_fails_resubscribes_on_a_later_sync() {
+        use simkit::fault::{FaultKind, FaultRule};
+        let (db, rtc) = setup();
+        let alice = client(&db, &rtc);
+        let q = Query::parse("/todos").unwrap();
+        let ls = [alice.listen(q.clone()).unwrap(), alice.listen(q).unwrap()];
+        alice.disconnect();
+
+        chaos(
+            &db,
+            FaultRule::probabilistic(FaultKind::TabletUnavailable, 1.0),
+        );
+        alice.reconnect().unwrap();
+        assert_eq!(rtc.stats().active_queries, 0, "every re-seed failed");
+
+        db.spanner().env().set_chaos(None);
+        alice.sync().unwrap();
+        assert_eq!(rtc.stats().active_queries, 2, "both re-seeded");
+        put(&db, "/todos/3", 3);
+        rtc.tick();
+        alice.sync().unwrap();
+        for l in ls {
+            assert_eq!(
+                delivered(&alice, l),
+                [(realtime::ChangeKind::Added, "3".into())]
+            );
+        }
     }
 
     #[test]

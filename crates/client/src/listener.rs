@@ -13,6 +13,7 @@ use firestore_core::observer::DocumentChange;
 use firestore_core::{Document, DocumentName, Query};
 use realtime::view::QueryView;
 pub use realtime::view::{ChangeKind, DocChangeEvent};
+use simkit::Timestamp;
 
 /// A listener registration id.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -30,6 +31,10 @@ pub struct ClientSnapshot {
     /// True when served purely from the local cache (device offline or
     /// latency-compensated local write not yet acknowledged).
     pub from_cache: bool,
+    /// The timestamp of the latest server snapshot the listener has folded
+    /// in (a streamed snapshot's or a re-seed's read time);
+    /// `Timestamp::ZERO` before the listener has read the server.
+    pub read_time: Timestamp,
 }
 
 /// The state of one registered listener.
@@ -40,8 +45,11 @@ pub struct ListenerState {
     pub query: Query,
     /// Materialized merged view.
     pub view: QueryView,
-    /// Server-side real-time query id while connected.
+    /// Server-side real-time query id while subscribed.
     pub server_query: Option<realtime::QueryId>,
+    /// Read time stamped on the snapshots this listener queues
+    /// ([`ClientSnapshot::read_time`]).
+    pub read_time: Timestamp,
     /// Queued snapshots awaiting the application's poll.
     pub out: Vec<ClientSnapshot>,
 }
@@ -56,6 +64,7 @@ impl ListenerState {
             query,
             view,
             server_query: None,
+            read_time: Timestamp::ZERO,
             out: Vec::new(),
         }
     }
@@ -67,6 +76,7 @@ impl ListenerState {
             changes: self.view.initial_events(),
             documents: self.view.visible(),
             from_cache,
+            read_time: self.read_time,
         };
         self.out.push(snapshot);
     }
@@ -101,6 +111,7 @@ impl ListenerState {
                 changes,
                 documents: self.view.visible(),
                 from_cache,
+                read_time: self.read_time,
             });
         }
     }

@@ -77,10 +77,10 @@ pub const BUFFERED_MAX_CHANGES: usize = 4096;
 /// within one flush interval.
 pub const CHANGELOG_FLUSH_CHANGES: usize = 8192;
 
-/// How many of its own polling calls (an SDK client's `sync`, a
-/// degraded listener's poll) a consumer shed by an overload reset sits out
-/// before it re-subscribes. Re-subscribing at once would re-create the
-/// pressure that shed it; a fault reset recovers without delay.
+/// How many of its own polling calls (an SDK client's `sync`) a consumer
+/// shed by an overload reset sits out before it re-subscribes.
+/// Re-subscribing at once would re-create the pressure that shed it; a
+/// fault reset recovers without delay.
 pub const OVERLOAD_RESUBSCRIBE_DELAY: u32 = 2;
 
 /// Configuration of the overload-safe fanout pipeline.

@@ -31,14 +31,11 @@
 //! Failure handling follows the paper: a Prepare that cannot be tracked
 //! fails the write; an `Accept(Unknown)` or a Prepare that times out marks
 //! the range out-of-sync and resets every real-time query matching it — the
-//! client re-runs the initial query and re-subscribes. The [`degrade`]
-//! module packages that recovery loop as a [`degrade::ResilientListener`]:
-//! on a reset or an injected cache outage it falls back to Spanner-backed
-//! polling snapshots and re-subscribes (with changelog catch-up) once the
-//! cache answers again, never missing or duplicating an event.
+//! client re-runs the initial query ([`ListenSnapshot`]) and re-subscribes.
+//! That recovery loop lives in the client SDK, which also keeps its
+//! listeners current by re-running their queries while its stream is down.
 
 pub mod cache;
-pub mod degrade;
 pub mod fanout;
 pub mod range;
 pub mod view;
@@ -48,5 +45,4 @@ pub use cache::{
     RealtimeCache, RealtimeOptions,
 };
 pub use fanout::{FanoutOptions, ResetCause, OVERLOAD_RESUBSCRIBE_DELAY};
-pub use degrade::{ListenerEvent, ListenerMode, ListenerStats, ResilientListener};
 pub use range::RangeMap;

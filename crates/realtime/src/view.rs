@@ -166,7 +166,7 @@ impl QueryView {
 /// A document counts as modified when any part of it differs; for two
 /// committed versions of one document that is the same test as comparing
 /// their `update_time`.
-pub fn diff_visible(old: &[Document], new: &[Document]) -> Vec<DocChangeEvent> {
+fn diff_visible(old: &[Document], new: &[Document]) -> Vec<DocChangeEvent> {
     let old_by_name: HashMap<&DocumentName, &Document> = old.iter().map(|d| (&d.name, d)).collect();
     let new_by_name: HashMap<&DocumentName, &Document> = new.iter().map(|d| (&d.name, d)).collect();
     let mut out = Vec::new();

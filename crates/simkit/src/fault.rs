@@ -40,8 +40,8 @@ pub enum FaultKind {
     LockTimeout,
     /// TrueTime uncertainty spikes, stretching commit wait.
     TtUncertaintySpike,
-    /// The Real-time Cache is unavailable (Prepare fails, listen streams
-    /// break and must degrade to polling).
+    /// The Real-time Cache is unavailable: a Prepare fails, and so does
+    /// the write that needed it (§IV-D2).
     CacheUnavailable,
     /// A crash leaves a partially flushed record at the end of a redo log
     /// (a torn tail); recovery must detect and truncate it.
@@ -53,6 +53,11 @@ pub enum FaultKind {
     /// wedged consumer); the fanout pipeline must shed it with an
     /// overload reset instead of queueing unboundedly or stalling.
     StalledConsumer,
+    /// A client's listen stream to the Real-time Cache is lost: the client
+    /// drops its subscriptions, and what they carried, and re-runs its
+    /// queries until a re-subscription gets through. Writers keep
+    /// committing.
+    ListenStreamLost,
 }
 
 impl fmt::Display for FaultKind {
@@ -67,6 +72,7 @@ impl fmt::Display for FaultKind {
             FaultKind::TornTail => "torn-tail",
             FaultKind::FsyncFail => "fsync-fail",
             FaultKind::StalledConsumer => "stalled-consumer",
+            FaultKind::ListenStreamLost => "listen-stream-lost",
         };
         f.write_str(s)
     }

@@ -5,15 +5,16 @@
 //! query that includes that document in its result set. Thus, each write to
 //! the document triggers a small update that is sent to each client."
 
+use client::{ClientOptions, FirestoreClient};
 use firestore_core::checker::{check_history, OracleReport};
 use firestore_core::database::doc;
 use firestore_core::{
-    Caller, Consistency, FirestoreDatabase, FirestoreResult, Query, Value, Write,
+    Caller, Consistency, Document, FirestoreDatabase, FirestoreResult, Query, Value, Write,
 };
-use realtime::{Connection, QueryId, RealtimeCache, RealtimeOptions, ResilientListener};
+use realtime::{Connection, QueryId, RealtimeCache, RealtimeOptions};
 use server::FirestoreService;
 use simkit::fault::{FaultInjector, FaultKind, FaultPlan, FaultRule};
-use simkit::history::HistoryRecorder;
+use simkit::history::{HistoryEvent, HistoryRecorder};
 use simkit::{Duration, SimClock, SimDisk, SimRng, Timestamp};
 use spanner::SpannerDatabase;
 use std::collections::{BTreeSet, HashMap};
@@ -84,12 +85,13 @@ impl FanoutFixture {
 
 // --- Scaled fanout workload -------------------------------------------------
 //
-// The Fig 9 shape taken to overload territory: 10³–10⁵ resilient listeners
-// on one hot collection, a seeded subset of *slow consumers* whose clients
-// stop draining mid-run (a scheduled [`FaultKind::StalledConsumer`] window).
-// The pipeline must keep conforming listeners on cadence, shed the stalled
-// ones with a voluntary `overload` reset, and let the degrade/catch-up
-// machinery converge everyone by the end.
+// The Fig 9 shape taken to overload territory: 10³–10⁵ SDK listeners, one
+// client each, on one hot collection, a seeded subset of *slow consumers*
+// whose clients stop syncing mid-run (a scheduled
+// [`FaultKind::StalledConsumer`] window). The pipeline must keep conforming
+// listeners on cadence, shed the stalled ones with a voluntary `overload`
+// reset, and let the SDK's back-off and re-seed converge everyone by the
+// end.
 
 /// Configuration for one scaled fanout run.
 #[derive(Clone, Copy, Debug)]
@@ -170,21 +172,24 @@ pub fn run_fanout(cfg: &FanoutConfig) -> FanoutReport {
     let recorder = cfg.oracle.then(HistoryRecorder::new);
     spanner.env().set_history(recorder.clone());
 
+    db.set_rules(crate::OPEN_RULES).expect("open rules parse");
+
     let mut rng = SimRng::new(cfg.seed);
     let query = Query::parse("/scores").unwrap();
-    let mut queries: HashMap<u64, Query> = HashMap::new();
-    let mut listeners: Vec<ResilientListener> = (0..cfg.listeners)
+    let clients: Vec<_> = (0..cfg.listeners)
         .map(|_| {
-            let conn = cache.connect();
-            let l = ResilientListener::listen(&db, &conn, query.clone(), Caller::Service).unwrap();
-            if let Some(qid) = l.query_id() {
-                queries.insert(qid.0, query.clone());
-            }
-            l
+            let client =
+                FirestoreClient::connect(db.clone(), cache.clone(), ClientOptions::default());
+            let id = client.listen(query.clone()).unwrap();
+            (client, id)
         })
         .collect();
-    for l in listeners.iter_mut() {
-        l.poll().unwrap(); // initial snapshot; stamps the drain clock
+    // Each listener's window as last delivered.
+    let mut views: Vec<Vec<Document>> = Vec::with_capacity(clients.len());
+    for (client, id) in &clients {
+        client.sync().unwrap(); // drains the initial event; stamps the drain clock
+        let initial = client.take_snapshots(*id).pop().expect("initial snapshot");
+        views.push(initial.documents);
     }
 
     // The stall window: slow consumers stop draining for long enough that
@@ -222,22 +227,18 @@ pub fn run_fanout(cfg: &FanoutConfig) -> FanoutReport {
         cache.tick();
         clock.advance(Duration::from_millis(50));
         let now = clock.now();
-        for (i, l) in listeners.iter_mut().enumerate() {
+        for (i, (client, id)) in clients.iter().enumerate() {
             let stalled = i < cfg.slow && stall.should_inject(FaultKind::StalledConsumer, "poll");
             if stalled {
                 continue; // the client has gone dark: nothing drains
             }
-            for ev in l.poll().unwrap() {
-                if ev.changes.is_empty() {
-                    continue;
-                }
+            client.sync().unwrap();
+            for snap in client.take_snapshots(*id) {
                 if i >= cfg.slow {
                     notifications += 1;
-                    conforming_lat.push(now.saturating_sub(ev.at).as_nanos());
+                    conforming_lat.push(now.saturating_sub(snap.read_time).as_nanos());
                 }
-            }
-            if let Some(qid) = l.query_id() {
-                queries.entry(qid.0).or_insert_with(|| query.clone());
+                views[i] = snap.documents;
             }
         }
         let s = cache.stats();
@@ -248,10 +249,10 @@ pub fn run_fanout(cfg: &FanoutConfig) -> FanoutReport {
     for _ in 0..24 {
         clock.advance(cadence);
         cache.tick();
-        for l in listeners.iter_mut() {
-            l.poll().unwrap();
-            if let Some(qid) = l.query_id() {
-                queries.entry(qid.0).or_insert_with(|| query.clone());
+        for (i, (client, id)) in clients.iter().enumerate() {
+            client.sync().unwrap();
+            if let Some(snap) = client.take_snapshots(*id).pop() {
+                views[i] = snap.documents;
             }
         }
     }
@@ -264,21 +265,31 @@ pub fn run_fanout(cfg: &FanoutConfig) -> FanoutReport {
         .into_iter()
         .map(|d| (d.name.to_string(), d.update_time))
         .collect();
-    let delivered_set = |l: &ResilientListener| -> BTreeSet<(String, Timestamp)> {
-        l.delivered_docs()
-            .into_iter()
+    let delivered_set = |view: &[Document]| -> BTreeSet<(String, Timestamp)> {
+        view.iter()
             .map(|d| (d.name.to_string(), d.update_time))
             .collect()
     };
-    let all_converged = listeners.iter().all(|l| delivered_set(l) == expect);
-    let slow_recovered = listeners[..cfg.slow]
-        .iter()
-        .all(|l| l.stats().overload_resets_seen >= 1 && !l.is_degraded());
-
+    let all_converged = views.iter().all(|v| delivered_set(v) == expect);
     let s = cache.stats();
-    let oracle = recorder
-        .as_ref()
-        .map(|rec| check_history(&rec.events(), db.directory(), &queries, final_ts));
+    // Shed, and subscribed again: every listener holds a live query.
+    let slow_recovered = clients[..cfg.slow]
+        .iter()
+        .all(|(client, _)| client.overload_resets() >= 1)
+        && s.active_queries == cfg.listeners;
+
+    let oracle = recorder.as_ref().map(|rec| {
+        let events = rec.events();
+        // Every listen (and re-listen) registers the one query.
+        let queries: HashMap<u64, Query> = events
+            .iter()
+            .filter_map(|r| match &r.event {
+                HistoryEvent::ListenerSnapshot { query: qid, .. } => Some((*qid, query.clone())),
+                _ => None,
+            })
+            .collect();
+        check_history(&events, db.directory(), &queries, final_ts)
+    });
 
     FanoutReport {
         listeners: cfg.listeners,

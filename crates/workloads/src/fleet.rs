@@ -46,17 +46,6 @@ pub fn is_adversary(database: &str) -> bool {
     database.starts_with("abuser-")
 }
 
-/// Security rules for databases that host client traffic: the clients in
-/// this workload authenticate as plain users, so their flushes are subject
-/// to rules evaluation.
-const OPEN_RULES: &str = r#"
-service cloud.firestore {
-  match /databases/{db}/documents {
-    match /{document=**} { allow read, write; }
-  }
-}
-"#;
-
 /// Fleet shape and schedule.
 #[derive(Clone, Copy, Debug)]
 pub struct FleetConfig {
@@ -171,12 +160,12 @@ impl FleetWorld {
             (0..cfg.tracked).map(|i| format!("tracked-{i}")).collect();
         for name in &tracked_names {
             let db = svc.create_database(name);
-            db.set_rules(OPEN_RULES).expect("open rules parse");
+            db.set_rules(crate::OPEN_RULES).expect("open rules parse");
         }
         if cfg.adversaries {
             for name in [HAMMER_DB, SCAN_DB, FREE_DB, RAMP_DB] {
                 let db = svc.create_database(name);
-                db.set_rules(OPEN_RULES).expect("open rules parse");
+                db.set_rules(crate::OPEN_RULES).expect("open rules parse");
             }
             svc.tenants.set_limits(
                 FREE_DB,

@@ -28,14 +28,6 @@ use spanner::SpannerDatabase;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-const OPEN_RULES: &str = r#"
-service cloud.firestore {
-  match /databases/{db}/documents {
-    match /{document=**} { allow read, write; }
-  }
-}
-"#;
-
 const C_IDS: [&str; 6] = ["a1", "b2", "k3", "n4", "p5", "z6"];
 const D_IDS: [&str; 4] = ["d1", "d2", "d3", "d4"];
 
@@ -63,7 +55,7 @@ impl HistoryWorld {
         let spanner = SpannerDatabase::new(clock.clone());
         spanner.attach_durability(SimDisk::new());
         let db = FirestoreDatabase::create_default(spanner.clone());
-        db.set_rules(OPEN_RULES).unwrap();
+        db.set_rules(crate::OPEN_RULES).unwrap();
         let cache = RealtimeCache::new(&spanner, RealtimeOptions::default());
         db.set_observer(cache.observer_for(db.directory()));
         let recorder = HistoryRecorder::new();

@@ -32,6 +32,17 @@ pub mod isolation;
 pub mod production;
 pub mod ycsb;
 
+/// Rules granting everything: the SDK clients of these workloads
+/// authenticate as plain users, so their requests are subject to rules
+/// evaluation.
+const OPEN_RULES: &str = r#"
+service cloud.firestore {
+  match /databases/{db}/documents {
+    match /{document=**} { allow read, write; }
+  }
+}
+"#;
+
 pub use driver::{DriverConfig, DriverReport};
 pub use fleet::{run_fleet, FleetConfig, FleetReport, FleetWorld};
 pub use history::{run_history_workload, HistoryConfig, HistoryOutcome, HistoryWorld};

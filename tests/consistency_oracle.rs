@@ -232,20 +232,25 @@ fn oracle_rejects_double_applied_client_mutation() {
     );
 }
 
-/// Differential check (no oracle): after a ResilientListener degrades to
-/// polling during a cache outage and recovers, its delivered result set
-/// equals a fresh direct query at its last delivered timestamp.
+/// Differential check (no oracle): after an SDK listener loses its listen
+/// stream, polls through the outage and re-subscribes, its delivered
+/// window equals a fresh direct query at its last snapshot's read time.
 #[test]
 fn resilient_listener_matches_direct_query_after_degrade_recover() {
-    use realtime::ResilientListener;
+    use client::{ClientOptions, FirestoreClient};
     use simkit::fault::{FaultInjector, FaultKind, FaultPlan, FaultRule};
 
     let w = common::world_with_rules();
-    let conn = w.cache.connect();
+    let client = FirestoreClient::connect(w.db.clone(), w.cache.clone(), ClientOptions::default());
     let query = Query::parse("/scores").unwrap();
-    let mut listener =
-        ResilientListener::listen(&w.db, &conn, query.clone(), Caller::Service).unwrap();
-    let _ = listener.poll().unwrap();
+    let listener = client.listen(query.clone()).unwrap();
+    let mut last = client.take_snapshots(listener).pop().unwrap();
+    let mut sync = || {
+        client.sync().unwrap();
+        if let Some(snap) = client.take_snapshots(listener).pop() {
+            last = snap;
+        }
+    };
 
     let put = |path: &str, v: i64| {
         w.db.commit_writes(
@@ -256,42 +261,45 @@ fn resilient_listener_matches_direct_query_after_degrade_recover() {
     };
     put("/scores/a", 1);
     w.cache.tick();
-    let _ = listener.poll().unwrap();
+    sync();
 
-    // Outage window: the stream severs and the listener degrades.
+    // Outage window: the stream severs and the listener polls.
     let start = w.clock.now();
     let plan = FaultPlan::new(99).rule(FaultRule::scheduled(
-        FaultKind::CacheUnavailable,
+        FaultKind::ListenStreamLost,
         start,
         start + Duration::from_secs(2),
     ));
-    listener.set_fault_injector(Some(FaultInjector::new(w.clock.clone(), plan)));
+    w.spanner
+        .env()
+        .set_chaos(Some(FaultInjector::new(w.clock.clone(), plan)));
     put("/scores/b", 2);
-    let _ = listener.poll().unwrap();
-    assert!(listener.is_degraded());
+    sync();
+    assert_eq!(w.cache.stats().active_queries, 0);
     put("/scores/c", 3);
-    let _ = listener.poll().unwrap();
+    sync();
 
     // Outage over: recover, then keep streaming.
     w.clock.advance(Duration::from_secs(3));
-    let _ = listener.poll().unwrap();
-    assert!(!listener.is_degraded());
+    sync();
+    assert_eq!(w.cache.stats().active_queries, 1);
     put("/scores/d", 4);
     w.cache.tick();
-    let _ = listener.poll().unwrap();
+    sync();
 
     // Differential: delivered state vs a fresh authoritative query at the
-    // listener's last delivered timestamp.
-    let delivered: Vec<(String, u64)> = listener
-        .delivered_docs()
+    // listener's last read time.
+    let delivered: Vec<(String, u64)> = last
+        .documents
         .iter()
         .map(|d| (d.name.to_string(), doc_digest(d)))
         .collect();
+    assert_eq!(delivered.len(), 4, "every write reached the listener");
     let fresh: Vec<(String, u64)> = w
         .db
         .run_query(
             &query,
-            Consistency::AtTimestamp(listener.last_ts()),
+            Consistency::AtTimestamp(last.read_time),
             &Caller::Service,
         )
         .unwrap()

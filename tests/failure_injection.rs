@@ -540,35 +540,31 @@ fn trigger_redelivery_under_duplication_is_idempotent() {
     assert_eq!(n, 0, "acked messages must not redeliver");
 }
 
-/// Acceptance: a listen stream survives a mid-stream Real-time Cache outage
-/// — it degrades to Spanner-backed polling, catches up, re-subscribes via
-/// the changelog, and the subscriber sees every event exactly once.
+/// Acceptance: an SDK listener survives losing its listen stream — while
+/// the link is down each sync re-runs the query (the poll), re-subscribing
+/// once the link is back, and the subscriber sees every event exactly once.
+/// Writers keep committing throughout.
 #[test]
 fn listen_stream_survives_cache_outage_without_missed_or_duplicate_events() {
-    use realtime::{ChangeKind, ResilientListener};
+    use realtime::ChangeKind;
     use simkit::fault::{FaultInjector, FaultKind, FaultPlan, FaultRule};
     use std::collections::HashMap;
 
     let (db, cache) = setup();
     let clock = db.spanner().truetime().clock().clone();
-    let conn = cache.connect();
-    let mut listener = ResilientListener::listen(
-        &db,
-        &conn,
-        Query::parse("/scores").unwrap(),
-        Caller::Service,
-    )
-    .unwrap();
+    let client = FirestoreClient::connect(db.clone(), cache.clone(), ClientOptions::default());
+    let listener = client.listen(Query::parse("/scores").unwrap()).unwrap();
     let mut seen: HashMap<String, usize> = HashMap::new();
-    let mut deliver = |events: Vec<realtime::ListenerEvent>| {
-        for e in events {
-            for c in &e.changes {
+    let mut deliver = || {
+        client.sync().unwrap();
+        for snap in client.take_snapshots(listener) {
+            for c in &snap.changes {
                 assert_eq!(c.kind, ChangeKind::Added, "only fresh documents here");
                 *seen.entry(c.doc.name.to_string()).or_default() += 1;
             }
         }
     };
-    deliver(listener.poll().unwrap()); // empty initial snapshot
+    deliver(); // empty initial snapshot
 
     // Streaming delivery while healthy.
     let put = |path: &str| {
@@ -580,32 +576,37 @@ fn listen_stream_survives_cache_outage_without_missed_or_duplicate_events() {
     };
     put("/scores/a");
     cache.tick();
-    deliver(listener.poll().unwrap());
+    deliver();
 
-    // The cache goes dark for 2 simulated seconds; writes keep landing.
+    // The link goes dark for 2 simulated seconds; writes keep landing.
     let start = clock.now();
     let plan = FaultPlan::new(13).rule(FaultRule::scheduled(
-        FaultKind::CacheUnavailable,
+        FaultKind::ListenStreamLost,
         start,
         start + Duration::from_secs(2),
     ));
-    listener.set_fault_injector(Some(FaultInjector::new(clock.clone(), plan)));
+    let injector = FaultInjector::new(clock.clone(), plan);
+    db.spanner().env().set_chaos(Some(injector.clone()));
     put("/scores/b");
-    deliver(listener.poll().unwrap());
-    assert!(listener.is_degraded(), "outage must force polling fallback");
+    deliver();
+    assert_eq!(cache.stats().active_queries, 0, "outage must force polling");
     put("/scores/c");
-    deliver(listener.poll().unwrap());
+    deliver();
 
-    // Outage ends: the listener recovers and streams again.
+    // Outage ends: the listener re-subscribes and streams again.
     clock.advance(Duration::from_secs(3));
-    deliver(listener.poll().unwrap());
-    assert!(!listener.is_degraded(), "listener must re-subscribe");
+    deliver();
+    assert_eq!(
+        cache.stats().active_queries,
+        1,
+        "listener must re-subscribe"
+    );
     put("/scores/d");
     cache.tick();
-    deliver(listener.poll().unwrap());
+    deliver();
 
-    assert_eq!(listener.stats().fallbacks, 1);
-    assert_eq!(listener.stats().recoveries, 1);
+    let sites: Vec<&str> = injector.trace().iter().map(|e| e.site).collect();
+    assert_eq!(sites, ["listen-stream", "listen", "listen"]);
     let mut names: Vec<_> = seen.keys().cloned().collect();
     names.sort();
     assert_eq!(names, ["/scores/a", "/scores/b", "/scores/c", "/scores/d"]);
@@ -616,14 +617,14 @@ fn listen_stream_survives_cache_outage_without_missed_or_duplicate_events() {
 }
 
 /// A scheduled [`FaultKind::StalledConsumer`] window: one listener's client
-/// stops draining mid-run. The fanout pipeline must shed it with a
+/// stops syncing mid-run. The fanout pipeline must shed it with a
 /// voluntary `overload` reset — not stall the flush for everyone and not
 /// queue its deltas unboundedly — while the conforming listener keeps
 /// receiving every write on cadence. When the window ends, the shed
-/// listener degrades, backs off, and catches up without loss.
+/// listener backs off, re-seeds and catches up without loss.
 #[test]
 fn stalled_consumer_is_shed_with_overload_reset_not_a_pipeline_stall() {
-    use realtime::{RealtimeOptions, ResilientListener};
+    use realtime::RealtimeOptions;
     use simkit::fault::{FaultInjector, FaultKind, FaultPlan, FaultRule};
     use simkit::SimClock;
     use spanner::SpannerDatabase;
@@ -632,6 +633,7 @@ fn stalled_consumer_is_shed_with_overload_reset_not_a_pipeline_stall() {
     clock.advance(Duration::from_secs(1));
     let spanner = SpannerDatabase::new(clock.clone());
     let db = FirestoreDatabase::create_default(spanner.clone());
+    db.set_rules(common::OPEN_RULES).unwrap();
     let mut opts = RealtimeOptions::default();
     opts.fanout.stall_deadline = Duration::from_millis(300);
     let cache = RealtimeCache::new(&spanner, opts);
@@ -646,20 +648,20 @@ fn stalled_consumer_is_shed_with_overload_reset_not_a_pipeline_stall() {
     };
     put("/scores/seed", 0);
 
-    let conn_ok = cache.connect();
-    let mut ok =
-        ResilientListener::listen(&db, &conn_ok, Query::parse("/scores").unwrap(), Caller::Service)
-            .unwrap();
-    let conn_slow = cache.connect();
-    let mut slow = ResilientListener::listen(
-        &db,
-        &conn_slow,
-        Query::parse("/scores").unwrap(),
-        Caller::Service,
-    )
-    .unwrap();
-    ok.poll().unwrap();
-    slow.poll().unwrap();
+    let listen = || {
+        let client = FirestoreClient::connect(db.clone(), cache.clone(), ClientOptions::default());
+        let id = client.listen(Query::parse("/scores").unwrap()).unwrap();
+        client.sync().unwrap();
+        (client, id)
+    };
+    let (ok, ok_id) = listen();
+    let (slow, slow_id) = listen();
+    let visible = |client: &FirestoreClient, id, last: &mut usize| {
+        if let Some(snap) = client.take_snapshots(id).pop() {
+            *last = snap.documents.len();
+        }
+    };
+    let (mut ok_docs, mut slow_docs) = (0, 0);
 
     // The slow client goes dark for the next simulated second.
     let start = clock.now();
@@ -678,15 +680,18 @@ fn stalled_consumer_is_shed_with_overload_reset_not_a_pipeline_stall() {
         put(&format!("/scores/w{i}"), i);
         cache.tick();
         // The conforming listener is never delayed by the stalled sibling:
-        // every write arrives on the very next poll.
-        let events = ok.poll().unwrap();
+        // every write arrives on the very next sync.
+        ok.sync().unwrap();
+        let snaps = ok.take_snapshots(ok_id);
         assert!(
-            events.iter().any(|e| !e.changes.is_empty()),
+            snaps.iter().any(|s| !s.changes.is_empty()),
             "conforming listener stalled at write {i}"
         );
+        ok_docs = snaps.last().map_or(ok_docs, |s| s.documents.len());
         ok_batches += 1;
         if !stall.should_inject(FaultKind::StalledConsumer, "poll") {
-            slow.poll().unwrap();
+            slow.sync().unwrap();
+            visible(&slow, slow_id, &mut slow_docs);
         }
     }
     assert_eq!(ok_batches, 10);
@@ -700,27 +705,24 @@ fn stalled_consumer_is_shed_with_overload_reset_not_a_pipeline_stall() {
     );
     assert_eq!(stats.resets_fault, 0, "no involuntary resets fired");
     assert!(stats.dropped_events > 0, "its queued deltas were dropped");
-    assert_eq!(
-        slow.stats().overload_resets_seen,
-        1,
-        "stats: {:?} cache: {stats:?}",
-        slow.stats()
-    );
+    assert_eq!(slow.overload_resets(), 1, "cache: {stats:?}");
 
     // Both listeners converge on the full final state.
     for _ in 0..6 {
         clock.advance(Duration::from_millis(200));
         cache.tick();
-        ok.poll().unwrap();
-        slow.poll().unwrap();
+        ok.sync().unwrap();
+        slow.sync().unwrap();
+        visible(&ok, ok_id, &mut ok_docs);
+        visible(&slow, slow_id, &mut slow_docs);
     }
-    assert!(!slow.is_degraded(), "shed listener must recover");
-    assert_eq!(ok.delivered_docs().len(), 11);
     assert_eq!(
-        slow.delivered_docs().len(),
-        11,
-        "catch-up must recover every dropped delta"
+        cache.stats().active_queries,
+        2,
+        "shed listener must recover"
     );
+    assert_eq!(ok_docs, 11);
+    assert_eq!(slow_docs, 11, "catch-up must recover every dropped delta");
 }
 
 /// Crash recovery under a TrueTime uncertainty spike: replay waits out the
